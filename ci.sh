@@ -3,7 +3,9 @@
 # under vendor/, see Cargo.toml).
 #
 #   1. release build of every crate;
-#   2. full test suite;
+#   2. full test suite, then the repo benchmark's own tests (pinned
+#      paper-section digests vs the experiment registry, printed metric
+#      names vs BENCHMARK.json);
 #   3. examples build + smoke runs (tiny scale, temp output dirs);
 #   4. bench smoke run refreshing the committed BENCH_results.json,
 #      followed by the bench_guard regression gate (fails on >25%
@@ -17,6 +19,7 @@ cd "$(dirname "$0")"
 
 cargo build --release --offline
 cargo test -q --offline
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 cargo build --release --offline --examples
 figdir="$(mktemp -d)"

@@ -9,7 +9,7 @@
 
 use netgeo::Region;
 use netsim::Family;
-use rss::{BRootPhase, RootLetter};
+use rss::BRootPhase;
 use std::collections::{HashMap, HashSet};
 use vantage::population::{Population, VpId};
 use vantage::records::ProbeRecord;
@@ -38,29 +38,34 @@ impl ColocationResult {
     /// b.root's two addresses share physical sites; only the old-address
     /// target is used so each letter contributes exactly one hop.
     pub fn compute(probes: &[ProbeRecord]) -> ColocationResult {
-        // (vp, family, letter) -> (time, hop option)
-        let mut latest: HashMap<(VpId, Family, RootLetter), (u32, Option<u64>)> = HashMap::new();
+        // Latest (time, hop) per (vp, family, letter), addressed densely:
+        // `(vp * 2 + family) * 13 + letter`. Ties in time keep the later
+        // record of the stream.
+        let vps = probes
+            .iter()
+            .map(|p| p.vp.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut latest: Vec<Option<(u32, Option<u64>)>> = vec![None; vps * 2 * 13];
         for p in probes {
-            if p.target.b_phase != BRootPhase::Old {
+            if p.target.b_phase != BRootPhase::Old || p.site.is_none() {
                 continue;
             }
-            if p.site.is_none() {
-                continue;
-            }
-            let key = (p.vp, p.family, p.target.letter);
-            let entry = latest.entry(key).or_insert((0, None));
-            if p.time >= entry.0 {
-                *entry = (p.time, p.second_to_last_hop);
+            let slot = (p.vp.0 as usize * 2 + p.family.index()) * 13 + p.target.letter.index();
+            if latest[slot].is_none_or(|(time, _)| p.time >= time) {
+                latest[slot] = Some((p.time, p.second_to_last_hop));
             }
         }
-        // Group per (vp, family).
-        let mut grouped: HashMap<(VpId, Family), Vec<Option<u64>>> = HashMap::new();
-        for ((vp, family, _letter), (_, hop)) in latest {
-            grouped.entry((vp, family)).or_default().push(hop);
-        }
-        let mut per_vp: Vec<ReducedRedundancy> = grouped
-            .into_iter()
-            .map(|((vp, family), hops)| {
+        // One row per (vp, family) with any observed letter, in
+        // (vp, family) order.
+        let per_vp = latest
+            .chunks_exact(13)
+            .enumerate()
+            .filter_map(|(row, letters)| {
+                let hops: Vec<Option<u64>> = letters.iter().flatten().map(|&(_, h)| h).collect();
+                if hops.is_empty() {
+                    return None;
+                }
                 let total = hops.len() as u32;
                 let mut unique: HashSet<u64> = HashSet::new();
                 let mut missing = 0u32;
@@ -73,15 +78,14 @@ impl ColocationResult {
                     }
                 }
                 let unique_count = unique.len() as u32 + missing;
-                ReducedRedundancy {
-                    vp,
-                    family,
+                Some(ReducedRedundancy {
+                    vp: VpId((row / 2) as u32),
+                    family: Family::BOTH[row % 2],
                     letters_observed: total,
                     reduced: total - unique_count,
-                }
+                })
             })
             .collect();
-        per_vp.sort_by_key(|r| (r.vp, r.family));
         ColocationResult { per_vp }
     }
 
@@ -175,6 +179,7 @@ impl ColocationResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rss::RootLetter;
     use vantage::records::Target;
 
     fn probe(
@@ -234,6 +239,24 @@ mod tests {
         ];
         let r = ColocationResult::compute(&probes);
         assert_eq!(r.per_vp[0].reduced, 0);
+    }
+
+    #[test]
+    fn appended_earlier_rounds_and_time_ties() {
+        let mut unanswered = probe(9, RootLetter::B, Family::V4, Some(5), 9);
+        unanswered.site = None;
+        let probes = vec![
+            probe(9, RootLetter::A, Family::V4, Some(5), 3),
+            probe(9, RootLetter::B, Family::V4, Some(6), 3),
+            // A re-measured earlier round appended last does not win...
+            probe(9, RootLetter::B, Family::V4, Some(5), 2),
+            // ...nor does an unanswered probe; a tie keeps the later record.
+            unanswered,
+            probe(9, RootLetter::A, Family::V4, Some(6), 3),
+        ];
+        let r = ColocationResult::compute(&probes);
+        assert_eq!(r.per_vp.len(), 1);
+        assert_eq!((r.per_vp[0].vp, r.per_vp[0].reduced), (VpId(9), 1));
     }
 
     #[test]

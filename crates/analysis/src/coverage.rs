@@ -7,7 +7,7 @@ use netgeo::Region;
 use netsim::anycast::{SiteId, SiteScope};
 use rss::catalog::RootCatalog;
 use rss::RootLetter;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use vantage::records::ProbeRecord;
 
 /// One row of coverage counts.
@@ -73,21 +73,36 @@ pub struct CoverageReport {
 impl CoverageReport {
     /// Match every probe's observed identity against the catalog.
     pub fn compute(catalog: &RootCatalog, probes: &[ProbeRecord]) -> CoverageReport {
-        let mut distinct_ids: HashMap<(RootLetter, String), ()> = HashMap::new();
+        let mut distinct_ids: HashSet<(RootLetter, &str)> = HashSet::new();
         let mut observed_sites: HashSet<(RootLetter, SiteId)> = HashSet::new();
         // Collect distinct (letter, identifier) pairs first — mapping work
         // is per distinct identifier, as in the paper (1,604 observed ids).
+        // The probe knows the true site; coverage "via identifier" is what
+        // the paper measures, so only mapped identifiers count. A site
+        // answers with one identifier, so a per-(letter, site) memo of the
+        // last one seen spares the set all but each site's first probe; the
+        // set borrows the probes' identifiers instead of copying them.
+        let mut last: Vec<Vec<Option<&str>>> = RootLetter::ALL
+            .iter()
+            .map(|&l| vec![None; catalog.deployment(l).sites.len()])
+            .collect();
         for p in probes {
-            if let Some(id) = &p.identity {
-                distinct_ids
-                    .entry((p.target.letter, id.clone()))
-                    .or_insert(());
+            let Some(id) = p.identity.as_deref() else {
+                continue;
+            };
+            let memo = p
+                .site
+                .and_then(|site| last[p.target.letter.index()].get_mut(site.0 as usize));
+            if let Some(memo) = memo {
+                if *memo == Some(id) {
+                    continue;
+                }
+                *memo = Some(id);
             }
-            // The probe knows the true site; coverage "via identifier" is
-            // what the paper measures, so only mapped identifiers count.
+            distinct_ids.insert((p.target.letter, id));
         }
         let mut mapped = 0;
-        for (letter, id) in distinct_ids.keys() {
+        for (letter, id) in &distinct_ids {
             if let Some(site) = catalog.map_identifier(*letter, id) {
                 mapped += 1;
                 observed_sites.insert((*letter, site.site_id));
@@ -316,6 +331,37 @@ mod tests {
             let map = report.site_map(&world.catalog, letter);
             assert_eq!(map.len(), world.catalog.sites_of(letter).count());
         }
+    }
+
+    #[test]
+    fn site_memo_counts_every_distinct_identifier() {
+        // Streams the engine never emits: unshared allocations, a site
+        // whose identifier alternates, identifiers without a site.
+        let (world, mut probes) = run_small();
+        probes.reverse();
+        for (i, p) in probes.iter_mut().enumerate() {
+            if let Some(id) = &p.identity {
+                p.identity = Some(match i % 3 {
+                    0 => std::sync::Arc::from(format!("{id}")),
+                    1 => std::sync::Arc::from(format!("x{i}")),
+                    _ => continue,
+                });
+            }
+            if i % 7 == 0 {
+                p.site = None;
+            }
+        }
+        let distinct: HashSet<(RootLetter, &str)> = probes
+            .iter()
+            .filter_map(|p| Some((p.target.letter, p.identity.as_deref()?)))
+            .collect();
+        let report = CoverageReport::compute(&world.catalog, &probes);
+        assert_eq!(report.observed_identifiers, distinct.len());
+        let mapped = distinct
+            .iter()
+            .filter(|(l, id)| world.catalog.map_identifier(*l, id).is_some())
+            .count();
+        assert_eq!(report.mapped_identifiers, mapped);
     }
 
     #[test]

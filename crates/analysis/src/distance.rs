@@ -60,6 +60,9 @@ impl DistanceResult {
             .filter(|s| s.scope == SiteScope::Global)
             .map(|s| s.city.coord)
             .collect();
+        // The closest global site depends only on the VP: computed on its
+        // first matching probe, then reused.
+        let mut closest_of: Vec<Option<f64>> = vec![None; population.len()];
         let mut points = Vec::new();
         let mut per_vp: std::collections::HashMap<vantage::population::VpId, (f64, u32)> =
             std::collections::HashMap::new();
@@ -69,10 +72,12 @@ impl DistanceResult {
             }
             let Some(site) = p.site else { continue };
             let vp = population.get(p.vp);
-            let closest = globals
-                .iter()
-                .map(|c| vp.coord.distance_km(c))
-                .fold(f64::INFINITY, f64::min);
+            let closest = *closest_of[p.vp.0 as usize].get_or_insert_with(|| {
+                globals
+                    .iter()
+                    .map(|c| vp.coord.distance_km(c))
+                    .fold(f64::INFINITY, f64::min)
+            });
             if !closest.is_finite() {
                 continue;
             }

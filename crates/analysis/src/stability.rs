@@ -4,7 +4,9 @@
 //! eCDF.
 
 use crate::stats::Ecdf;
+use netsim::anycast::SiteId;
 use netsim::Family;
+use rss::{BRootPhase, RootLetter};
 use std::collections::HashMap;
 use vantage::population::VpId;
 use vantage::records::{ProbeRecord, Target};
@@ -38,46 +40,81 @@ pub struct StabilityResult {
     pub series: Vec<StabilitySeries>,
 }
 
+/// Dense (target, family) slots per VP: `letter * 4 + b_phase * 2 +
+/// family`. Slot order is `(target, family)` order, so a slot-major walk
+/// visits keys in `(vp, target, family)` order.
+const SLOTS_PER_VP: usize = 13 * 2 * 2;
+
+fn slot(target: Target, family: Family) -> usize {
+    (target.letter.index() * 2 + target.b_phase as usize) * 2 + family.index()
+}
+
+fn slot_key(slot: usize) -> (Target, Family) {
+    let target = Target {
+        letter: RootLetter::from_index(slot / 4).expect("slot within 13 letters"),
+        b_phase: [BRootPhase::Old, BRootPhase::New][slot / 2 % 2],
+    };
+    (target, Family::BOTH[slot % 2])
+}
+
 impl StabilityResult {
-    /// Count change events from the probe stream.
+    /// Count change events from the probe stream: two answered probes of
+    /// one (vp, target, family), at increasing times, reaching different
+    /// sites.
     ///
-    /// Probes must be *grouped* per VP in time order per (vp, target,
-    /// family) — the engine emits rounds in order, so a stable sort by time
-    /// within each key suffices and is done here defensively.
+    /// Answered probes are bucketed by the dense (vp, target, family) key
+    /// with a stable counting sort, and each bucket is put in time order
+    /// before it is folded. The engine emits rounds in order, so buckets
+    /// arrive sorted except for re-measured rounds appended after the main
+    /// schedule; the stable sort keeps equal times in stream order.
     pub fn compute(probes: &[ProbeRecord]) -> StabilityResult {
-        // Previous site and change count per (vp, target, family).
-        #[derive(Default, Clone)]
-        struct State {
-            prev: Option<netsim::anycast::SiteId>,
-            prev_time: u32,
-            changes: u64,
-            initialized: bool,
+        let key = |p: &ProbeRecord| p.vp.0 as usize * SLOTS_PER_VP + slot(p.target, p.family);
+        let keys = probes
+            .iter()
+            .map(|p| (p.vp.0 as usize + 1) * SLOTS_PER_VP)
+            .max()
+            .unwrap_or(0);
+        // Bucket bounds: `start[k]..start[k + 1]` holds key `k`.
+        let mut start = vec![0usize; keys + 1];
+        for p in probes.iter().filter(|p| p.site.is_some()) {
+            start[key(p) + 1] += 1;
         }
-        let mut per_key: HashMap<(VpId, Target, Family), State> = HashMap::new();
-        // Defensive ordering.
-        let mut ordered: Vec<&ProbeRecord> = probes.iter().collect();
-        ordered.sort_by_key(|p| (p.vp, p.target, p.family, p.time));
-        for p in ordered {
-            let Some(site) = p.site else { continue };
-            let st = per_key.entry((p.vp, p.target, p.family)).or_default();
-            if st.initialized && st.prev_time < p.time && st.prev != Some(site) {
-                st.changes += 1;
+        for k in 0..keys {
+            start[k + 1] += start[k];
+        }
+        let mut cursor = start.clone();
+        let mut entries = vec![(0u32, SiteId(0)); start[keys]];
+        for p in probes {
+            if let Some(site) = p.site {
+                let at = &mut cursor[key(p)];
+                entries[*at] = (p.time, site);
+                *at += 1;
             }
-            st.prev = Some(site);
-            st.prev_time = p.time;
-            st.initialized = true;
         }
-        // Group by (target, family).
-        let mut grouped: HashMap<(Target, Family), HashMap<VpId, u64>> = HashMap::new();
-        for ((vp, target, family), st) in per_key {
-            grouped
-                .entry((target, family))
-                .or_default()
-                .insert(vp, st.changes);
+        let mut per_slot: Vec<HashMap<VpId, u64>> = vec![HashMap::new(); SLOTS_PER_VP];
+        for k in 0..keys {
+            let bucket = &mut entries[start[k]..start[k + 1]];
+            if bucket.is_empty() {
+                continue;
+            }
+            if bucket.windows(2).any(|w| w[0].0 > w[1].0) {
+                bucket.sort_by_key(|&(time, _)| time);
+            }
+            let mut changes = 0;
+            for w in bucket.windows(2) {
+                let ((prev_time, prev), (time, site)) = (w[0], w[1]);
+                if prev_time < time && prev != site {
+                    changes += 1;
+                }
+            }
+            per_slot[k % SLOTS_PER_VP].insert(VpId((k / SLOTS_PER_VP) as u32), changes);
         }
-        let mut series: Vec<StabilitySeries> = grouped
+        let series = per_slot
             .into_iter()
-            .map(|((target, family), changes_per_vp)| {
+            .enumerate()
+            .filter(|(_, changes_per_vp)| !changes_per_vp.is_empty())
+            .map(|(slot, changes_per_vp)| {
+                let (target, family) = slot_key(slot);
                 let samples: Vec<u64> = changes_per_vp.values().copied().collect();
                 StabilitySeries {
                     target,
@@ -87,7 +124,6 @@ impl StabilityResult {
                 }
             })
             .collect();
-        series.sort_by_key(|s| (s.target, s.family));
         StabilityResult { series }
     }
 

@@ -84,11 +84,16 @@ pub fn timestamp_from_ymd(s: &str) -> Option<u32> {
     Some((days as u64 * 86400 + h * 3600 + mi * 60 + sec) as u32)
 }
 
+/// The UTC calendar date `(year, month, day)` of seconds-since-epoch `t`.
+pub fn timestamp_to_date(t: u32) -> (u32, u32, u32) {
+    let (y, m, d) = civil_from_days((t / 86400) as i64);
+    (y as u32, m, d)
+}
+
 /// Render seconds-since-epoch as `YYYYMMDDHHmmSS`.
 pub fn timestamp_to_ymd(t: u32) -> String {
-    let days = (t / 86400) as i64;
     let secs = t % 86400;
-    let (y, m, d) = civil_from_days(days);
+    let (y, m, d) = timestamp_to_date(t);
     format!(
         "{:04}{:02}{:02}{:02}{:02}{:02}",
         y,

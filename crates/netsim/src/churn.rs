@@ -16,7 +16,7 @@
 
 use crate::anycast::SiteId;
 use crate::rng::SimRng;
-use crate::routing::RouteTable;
+use crate::routing::{CandidateRoute, RouteTable};
 use crate::types::AsId;
 
 /// Which stochastic process drives flips.
@@ -149,19 +149,29 @@ impl ChurnModel {
     /// The near-equal candidate indices for `asn` (indices into
     /// `table.candidates(asn)`).
     pub fn near_equal(&self, table: &RouteTable, asn: AsId) -> Vec<usize> {
-        let cands = table.candidates(asn);
+        let mut out = Vec::new();
+        self.near_equal_into(table.candidates(asn), &mut out);
+        out
+    }
+
+    /// [`ChurnModel::near_equal`] over an AS's candidate list, written into
+    /// a caller-owned buffer (cleared first) so a per-probe caller computes
+    /// the set once per step without allocating.
+    pub fn near_equal_into(&self, cands: &[CandidateRoute], out: &mut Vec<usize>) {
+        out.clear();
         let Some(best) = cands.first() else {
-            return Vec::new();
+            return;
         };
-        cands
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| {
-                c.learned_from == best.learned_from
-                    && c.path_len() <= best.path_len() + self.near_equal_slack
-            })
-            .map(|(i, _)| i)
-            .collect()
+        out.extend(
+            cands
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| {
+                    c.learned_from == best.learned_from
+                        && c.path_len() <= best.path_len() + self.near_equal_slack
+                })
+                .map(|(i, _)| i),
+        );
     }
 
     /// Initial selection (the best route).
@@ -225,14 +235,33 @@ impl ChurnModel {
         multiplier: f64,
         upstream_pool: &[SiteId],
     ) -> (Option<SiteId>, Option<ChurnEventKind>) {
+        let cands = table.candidates(asn);
         let near = self.near_equal(table, asn);
+        self.step_near(cands, &near, state, rng, multiplier, upstream_pool)
+    }
+
+    /// One [`ChurnModel::step_observed`] round over a precomputed
+    /// candidate list and its near-equal set (from
+    /// [`ChurnModel::near_equal_into`]): callers that need the set again
+    /// after the step (the measurement engine resolves the serving
+    /// candidate from it) compute it once. Draws exactly the same random
+    /// variates as `step_observed`.
+    pub fn step_near(
+        &self,
+        cands: &[CandidateRoute],
+        near: &[usize],
+        state: &mut SelectionState,
+        rng: &mut SimRng,
+        multiplier: f64,
+        upstream_pool: &[SiteId],
+    ) -> (Option<SiteId>, Option<ChurnEventKind>) {
         if near.is_empty() {
             return (None, None);
         }
         if state.current >= near.len() {
             state.current = 0;
         }
-        let site_of = |idx: usize| table.candidates(asn)[near[idx]].site;
+        let site_of = |idx: usize| cands[near[idx]].site;
         let mut event = None;
         match self.model {
             FlipModel::Markov => {
@@ -554,6 +583,37 @@ mod tests {
                 },
             }
         );
+    }
+
+    #[test]
+    fn step_near_with_a_reused_buffer_matches_step_full() {
+        // The measurement engine's pattern: one near-equal buffer shared
+        // by every AS, recomputed before each step.
+        let (t, d) = world(6);
+        let table = propagate(&t, &d, Family::V4);
+        let model = ChurnModel {
+            base_flip_prob: 0.2,
+            per_candidate_prob: 0.1,
+            upstream_flip_prob: 0.1,
+            near_equal_slack: 3,
+            ..Default::default()
+        };
+        let pool: Vec<SiteId> = d.sites.iter().map(|s| s.id).collect();
+        let mut near = vec![usize::MAX; 8];
+        for node in t.nodes().iter().take(60) {
+            let (mut st_a, mut st_b) = (model.initial(), model.initial());
+            let mut rng_a = SimRng::new(node.id.0 as u64);
+            let mut rng_b = rng_a.clone();
+            for _ in 0..50 {
+                let full = model.step_full(&table, node.id, &mut st_a, &mut rng_a, 1.5, &pool);
+                let cands = table.candidates(node.id);
+                model.near_equal_into(cands, &mut near);
+                assert_eq!(near, model.near_equal(&table, node.id));
+                let (stepped, _) = model.step_near(cands, &near, &mut st_b, &mut rng_b, 1.5, &pool);
+                assert_eq!(full, stepped);
+            }
+            assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "same draws");
+        }
     }
 
     // Pinned by `round_log_golden`.

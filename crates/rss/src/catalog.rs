@@ -217,6 +217,10 @@ pub struct RootCatalog {
     pub deployments: Vec<Deployment>,
     /// Shared facility table.
     pub facilities: FacilityTable,
+    /// Index into `sites` of each letter's first row: rows are pushed
+    /// letter by letter with sequential site ids, so `(letter, site)` sits
+    /// at `letter_start[letter] + site`.
+    letter_start: [usize; 13],
 }
 
 impl RootCatalog {
@@ -228,6 +232,7 @@ impl RootCatalog {
         let mut facility_host: Vec<AsId> = Vec::new();
         let mut sites: Vec<RootSite> = Vec::new();
         let mut deployments: Vec<Deployment> = Vec::new();
+        let mut letter_start = [0usize; 13];
 
         // Pre-create facility host ASes lazily, keyed by (city, index).
         let get_facility = |topology: &mut Topology,
@@ -284,6 +289,7 @@ impl RootCatalog {
         };
 
         for letter in RootLetter::ALL {
+            letter_start[letter.index()] = sites.len();
             let mut letter_sites: Vec<Site> = Vec::new();
             for region in Region::ALL {
                 let counts = ground_truth(letter, region);
@@ -405,6 +411,7 @@ impl RootCatalog {
             sites,
             deployments,
             facilities,
+            letter_start,
         }
     }
 
@@ -420,10 +427,22 @@ impl RootCatalog {
 
     /// Look up the catalog row for a (letter, site) pair.
     pub fn site(&self, letter: RootLetter, site: SiteId) -> &RootSite {
-        self.sites
-            .iter()
-            .find(|s| s.letter == letter && s.site_id == site)
-            .expect("site exists in catalog")
+        &self.sites[self.site_index(letter, site)]
+    }
+
+    /// Position of the (letter, site) row in [`sites`](Self::sites): the
+    /// per-letter offset guess is O(1) and verified, with a scan as the
+    /// fallback (as [`Deployment::site`] does for its own roster).
+    pub fn site_index(&self, letter: RootLetter, site: SiteId) -> usize {
+        let guess = self.letter_start[letter.index()] + site.0 as usize;
+        match self.sites.get(guess) {
+            Some(s) if s.letter == letter && s.site_id == site => guess,
+            _ => self
+                .sites
+                .iter()
+                .position(|s| s.letter == letter && s.site_id == site)
+                .expect("site exists in catalog"),
+        }
     }
 
     /// Try to map an observed identifier (a `hostname.bind` answer) back to
@@ -632,6 +651,44 @@ mod tests {
             cat.b_root_phase_at(crate::letters::B_ROOT_CHANGE_DATE),
             BRootPhase::New
         );
+    }
+
+    #[test]
+    fn indexed_site_lookup_matches_scan() {
+        let scan = |cat: &RootCatalog, letter: RootLetter, site: SiteId| {
+            cat.sites
+                .iter()
+                .position(|s| s.letter == letter && s.site_id == site)
+                .expect("row exists")
+        };
+        let (_, full) = built();
+        let mut t = Topology::generate(&TopologyConfig::default());
+        let mut tiny = RootCatalog::build(
+            &mut t,
+            &WorldConfig {
+                site_scale: 0.2,
+                ..Default::default()
+            },
+        );
+        for cat in [&full, &tiny] {
+            for row in &cat.sites {
+                let at = scan(cat, row.letter, row.site_id);
+                assert_eq!(cat.site_index(row.letter, row.site_id), at);
+                assert!(std::ptr::eq(
+                    cat.site(row.letter, row.site_id),
+                    &cat.sites[at]
+                ));
+            }
+        }
+        // A roster edited after the build invalidates the offsets; the
+        // verified guess falls back to the scan.
+        tiny.sites.remove(0);
+        for row in &tiny.sites {
+            assert_eq!(
+                tiny.site_index(row.letter, row.site_id),
+                scan(&tiny, row.letter, row.site_id)
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use crate::population::{Population, PopulationConfig, VantagePoint, VpFault};
 use crate::records::{ProbeRecord, Target, TransferFault, TransferRecord};
 use crate::schedule::{Round, Schedule};
-use dns_crypto::validity::timestamp_to_ymd;
+use dns_crypto::validity::timestamp_to_date;
 use dns_zone::rollout::RolloutPhase;
 use dns_zone::rootzone::{build_root_zone, RootZoneConfig};
 use dns_zone::signer::ZoneKeys;
@@ -29,6 +29,7 @@ use parking_lot::Mutex;
 use rss::catalog::{RootCatalog, WorldConfig};
 use rss::RootLetter;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Everything a measurement needs: topology, catalog, routing, VPs, zones.
@@ -41,6 +42,10 @@ pub struct World {
     /// Attracting sites per `[letter][family]`: distinct sites selected by
     /// at least one AS — the pool an upstream path change can land on.
     attracting: Vec<[Vec<netsim::anycast::SiteId>; 2]>,
+    /// The `hostname.bind` answer of every catalog row, indexed like
+    /// `catalog.sites`. Identities are per-site constants, so every probe
+    /// answered by a site shares its one allocation.
+    identities: Vec<Arc<str>>,
     /// Zone keys (stable across the measurement; the root's actual keys
     /// also did not roll during the window).
     pub keys: ZoneKeys,
@@ -117,12 +122,18 @@ impl World {
             attracting.push(pool);
         }
         let population = Population::synthesize(&topology, &cfg.population);
+        let identities = catalog
+            .sites
+            .iter()
+            .map(|row| Arc::from(observed_identity(row)))
+            .collect();
         World {
             topology,
             catalog,
             population,
             route_tables,
             attracting,
+            identities,
             keys: ZoneKeys::from_seed(cfg.seed ^ 0x5a5a),
             zone_cache: Mutex::new(HashMap::new()),
             zone_tlds: cfg.zone_tlds,
@@ -157,8 +168,7 @@ impl World {
         if let Some(z) = self.zone_cache.lock().get(&day) {
             return z.clone();
         }
-        let ymd: String = timestamp_to_ymd(day).chars().take(8).collect();
-        let serial: u32 = ymd.parse::<u32>().expect("8 digits") * 100;
+        let serial = serial_of_day(day);
         let zone = Arc::new(build_root_zone(
             &RootZoneConfig {
                 serial,
@@ -324,9 +334,9 @@ fn compute_letter_routing(
 /// full-scale runs never hold the record stream in memory.
 pub trait MeasurementSink {
     /// One active probe result.
-    fn probe(&mut self, rec: &ProbeRecord);
+    fn probe(&mut self, rec: ProbeRecord);
     /// One zone-transfer result.
-    fn transfer(&mut self, rec: &TransferRecord);
+    fn transfer(&mut self, rec: TransferRecord);
 }
 
 /// A sink that simply collects records (for tests and small runs).
@@ -337,11 +347,11 @@ pub struct VecSink {
 }
 
 impl MeasurementSink for VecSink {
-    fn probe(&mut self, rec: &ProbeRecord) {
-        self.probes.push(rec.clone());
+    fn probe(&mut self, rec: ProbeRecord) {
+        self.probes.push(rec);
     }
-    fn transfer(&mut self, rec: &TransferRecord) {
-        self.transfers.push(rec.clone());
+    fn transfer(&mut self, rec: TransferRecord) {
+        self.transfers.push(rec);
     }
 }
 
@@ -485,12 +495,28 @@ impl Default for MeasurementConfig {
 }
 
 /// Per-(vp, target, family) runtime state.
+#[derive(Clone)]
 struct ProbeState {
     selection: SelectionState,
     /// Cached base RTT per (candidate index, site) — the site matters
     /// because an upstream redirect can serve a site off the candidate's
-    /// own facility.
-    rtt_cache: HashMap<(usize, u32), f64>,
+    /// own facility. A client reaches a handful of such pairs per target,
+    /// so a linear scan beats hashing.
+    rtt_cache: Vec<(usize, SiteId, f64)>,
+}
+
+/// Probe states per VP: one per (target, family), laid out
+/// `t_idx * 2 + family.index()` with `t_idx` the position in
+/// [`Target::all`].
+const STATES_PER_VP: usize = 14 * 2;
+
+/// Fresh states for `vps` VPs (nothing probed yet).
+fn initial_states(churn: &ChurnModel, vps: usize) -> Vec<ProbeState> {
+    let fresh = ProbeState {
+        selection: churn.initial(),
+        rtt_cache: Vec::new(),
+    };
+    vec![fresh; vps * STATES_PER_VP]
 }
 
 /// Cross-call engine state: the per-(vp, target, family) churn selection
@@ -503,7 +529,9 @@ struct ProbeState {
 /// continuous pipeline's record stream bit for bit.
 #[derive(Default)]
 pub struct EngineSession {
-    states: HashMap<(u32, usize, usize), ProbeState>,
+    /// Dense per-(vp, target, family) states, [`STATES_PER_VP`] per VP in
+    /// VP order; sized to the population on first use.
+    states: Vec<ProbeState>,
 }
 
 impl EngineSession {
@@ -519,7 +547,7 @@ impl EngineSession {
     /// Markov position survives — it is re-validated against the new
     /// near-equal set on the next step.
     pub fn invalidate_routing(&mut self, churn: &ChurnModel) {
-        for state in self.states.values_mut() {
+        for state in &mut self.states {
             state.rtt_cache.clear();
             churn.reset_override(&mut state.selection);
         }
@@ -540,9 +568,8 @@ impl<'w> MeasurementEngine<'w> {
 
     /// Run the full measurement, streaming into `sink`.
     pub fn run<S: MeasurementSink>(&self, sink: &mut S) {
-        let vp_ids: Vec<u32> = (0..self.world.population.len() as u32).collect();
         let rounds: Vec<Round> = self.config.schedule.rounds().collect();
-        self.run_vps(&vp_ids, &rounds, sink);
+        self.run_vps(0..self.world.population.len() as u32, &rounds, sink);
     }
 
     /// Run the measurement in parallel over VP ranges; returns the merged
@@ -579,74 +606,88 @@ impl<'w> MeasurementEngine<'w> {
         let n = self.world.population.len() as u32;
         let workers = workers.clamp(1, (n as usize).max(1));
         let chunk = n.div_ceil(workers as u32);
-        // Partition the session state by worker VP range; each worker owns
-        // its slice exclusively (same disjointness argument as the VPs).
-        let mut parts_in: Vec<HashMap<(u32, usize, usize), ProbeState>> =
-            (0..workers).map(|_| HashMap::new()).collect();
-        for (key, state) in session.states.drain() {
-            let w = ((key.0 / chunk) as usize).min(workers - 1);
-            parts_in[w].insert(key, state);
+        let slots = n as usize * STATES_PER_VP;
+        if session.states.len() < slots {
+            session.states = initial_states(&self.config.churn, n as usize);
         }
-        type WorkerOut = (u32, VecSink, HashMap<(u32, usize, usize), ProbeState>);
-        let results: Mutex<Vec<WorkerOut>> = Mutex::new(Vec::new());
-        crossbeam::scope(|scope| {
-            for (w, mut states) in parts_in.into_iter().enumerate() {
-                let lo = w as u32 * chunk;
-                let hi = ((w as u32 + 1) * chunk).min(n);
+        // Partition the session state by worker VP range: the states are
+        // laid out in VP order, so each worker borrows its contiguous slice
+        // exclusively (same disjointness argument as the VPs).
+        let mut rest = &mut session.states[..slots];
+        let parts: Vec<VecSink> = crossbeam::scope(|scope| {
+            let mut handles = Vec::with_capacity(workers);
+            for w in 0..workers as u32 {
+                let lo = w * chunk;
+                let hi = ((w + 1) * chunk).min(n);
                 if lo >= hi {
                     continue;
                 }
-                let results = &results;
-                scope.spawn(move |_| {
-                    let ids: Vec<u32> = (lo..hi).collect();
+                let (states, tail) =
+                    std::mem::take(&mut rest).split_at_mut((hi - lo) as usize * STATES_PER_VP);
+                rest = tail;
+                handles.push(scope.spawn(move |_| {
                     let mut sink = VecSink::default();
-                    self.run_vps_with(&mut states, &ids, rounds, &mut sink);
-                    results.lock().push((lo, sink, states));
-                });
+                    self.run_vps_with(states, lo..hi, rounds, &mut sink);
+                    sink
+                }));
             }
+            // Joined in spawn order, which is VP-range order.
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("measurement worker panicked"))
+                .collect()
         })
         .expect("worker panicked");
-        let mut parts = results.into_inner();
-        parts.sort_by_key(|(lo, _, _)| *lo);
-        let mut merged = VecSink::default();
-        for (_, part, states) in parts {
+        // Merge into the first range's sink, reserving the summed size of
+        // the others up front: growing the multi-hundred-MB record vectors
+        // part by part would reallocate and copy them, and a fresh merged
+        // sink would hold a second copy of the first range.
+        let mut parts = parts.into_iter();
+        let mut merged = parts.next().unwrap_or_default();
+        let rest: Vec<VecSink> = parts.collect();
+        merged
+            .probes
+            .reserve(rest.iter().map(|p| p.probes.len()).sum());
+        merged
+            .transfers
+            .reserve(rest.iter().map(|p| p.transfers.len()).sum());
+        for part in rest {
             merged.probes.extend(part.probes);
             merged.transfers.extend(part.transfers);
-            session.states.extend(states);
         }
         merged
     }
 
-    /// Run the measurement for a subset of VPs over the given rounds.
-    fn run_vps<S: MeasurementSink>(&self, vp_ids: &[u32], rounds: &[Round], sink: &mut S) {
-        let mut states: HashMap<(u32, usize, usize), ProbeState> = HashMap::new();
-        self.run_vps_with(&mut states, vp_ids, rounds, sink);
+    /// Run the measurement for the VP range `vps` over the given rounds.
+    fn run_vps<S: MeasurementSink>(&self, vps: Range<u32>, rounds: &[Round], sink: &mut S) {
+        let mut states = initial_states(&self.config.churn, vps.len());
+        self.run_vps_with(&mut states, vps, rounds, sink);
     }
 
     /// [`run_vps`](Self::run_vps) over caller-owned per-(vp, target,
-    /// family) states.
+    /// family) states, [`STATES_PER_VP`] per VP of `vps` in VP order.
     fn run_vps_with<S: MeasurementSink>(
         &self,
-        states: &mut HashMap<(u32, usize, usize), ProbeState>,
-        vp_ids: &[u32],
+        states: &mut [ProbeState],
+        vps: Range<u32>,
         rounds: &[Round],
         sink: &mut S,
     ) {
         let targets = Target::all();
+        debug_assert_eq!(targets.len() * 2, STATES_PER_VP);
         let root_rng = SimRng::new(self.world.seed()).derive("measurement");
+        // Near-equal candidate set of the current probe, reused across
+        // probes so the step allocates nothing.
+        let mut near = Vec::new();
         for round in rounds {
-            for &vp_idx in vp_ids {
+            for (vp_idx, vp_states) in vps.clone().zip(states.chunks_exact_mut(STATES_PER_VP)) {
                 let vp = self.world.population.get(crate::population::VpId(vp_idx));
                 for (t_idx, target) in targets.iter().enumerate() {
                     for family in Family::BOTH {
                         if family == Family::V6 && !vp.has_v6 {
                             continue;
                         }
-                        let key = (vp_idx, t_idx, family.index());
-                        let state = states.entry(key).or_insert_with(|| ProbeState {
-                            selection: self.config.churn.initial(),
-                            rtt_cache: HashMap::new(),
-                        });
+                        let state = &mut vp_states[t_idx * 2 + family.index()];
                         // Integer-tuple stream derivation: the string
                         // version of this key (`format!("probe/…")`)
                         // allocated on every probe and dominated the
@@ -658,14 +699,18 @@ impl<'w> MeasurementEngine<'w> {
                             family.index() as u64,
                             round.time as u64,
                         ]);
-                        self.probe_once(vp, *target, family, round.time, state, &mut rng, sink);
+                        self.probe_once(
+                            vp, *target, family, round.time, state, &mut near, &mut rng, sink,
+                        );
                     }
                 }
             }
         }
     }
 
-    /// One probe: selection, RTT, traceroute tail, identity, AXFR.
+    /// One probe: selection, RTT, traceroute tail, identity, AXFR. `near`
+    /// is scratch for the near-equal candidate set, computed once and
+    /// shared by the churn step and the serving-candidate resolution.
     #[allow(clippy::too_many_arguments)]
     fn probe_once<S: MeasurementSink>(
         &self,
@@ -674,59 +719,68 @@ impl<'w> MeasurementEngine<'w> {
         family: Family,
         time: u32,
         state: &mut ProbeState,
+        near: &mut Vec<usize>,
         rng: &mut SimRng,
         sink: &mut S,
     ) {
         let world = self.world;
         let ov = self.config.overrides.letter(target.letter);
         let table = world.routes(target.letter, family);
+        let cands = table.candidates(vp.asn);
         let timeout = rng.chance(self.config.timeout_prob);
         let site = if timeout {
             None
         } else {
-            self.config.churn.step_full(
-                table,
-                vp.asn,
-                &mut state.selection,
-                rng,
-                churn_multiplier(target.letter, family) * ov.churn_boost,
-                world.attracting_sites(target.letter, family),
-            )
+            self.config.churn.near_equal_into(cands, near);
+            self.config
+                .churn
+                .step_near(
+                    cands,
+                    near,
+                    &mut state.selection,
+                    rng,
+                    churn_multiplier(target.letter, family) * ov.churn_boost,
+                    world.attracting_sites(target.letter, family),
+                )
+                .0
         };
         let (rtt_ms, second_to_last_hop, identity, site_city) = match site {
             None => (None, None, None, None),
             Some(site_id) => {
                 // Selected candidate (for path geometry).
-                let cands = table.candidates(vp.asn);
-                let near = self.config.churn.near_equal(table, vp.asn);
-                let cand_idx = resolve_candidate(cands, &near, site_id);
-                let cand = &cands[cand_idx];
-                let deployment = world.catalog.deployment(target.letter);
-                let facility = deployment.site(site_id).facility;
-                let base = *state
+                let cand_idx = resolve_candidate(cands, near, site_id);
+                let row_idx = world.catalog.site_index(target.letter, site_id);
+                let row = &world.catalog.sites[row_idx];
+                let facility = row.facility;
+                let cached = state
                     .rtt_cache
-                    .entry((cand_idx, site_id.0))
-                    .or_insert_with(|| {
-                        self.config.rtt.base_rtt_ms(
+                    .iter()
+                    .find(|&&(c, s, _)| c == cand_idx && s == site_id);
+                let base = match cached {
+                    Some(&(_, _, base)) => base,
+                    None => {
+                        let base = self.config.rtt.base_rtt_ms(
                             &world.topology,
                             &world.catalog.facilities,
                             vp.coord,
-                            cand,
+                            &cands[cand_idx],
                             facility,
-                        )
-                    });
+                        );
+                        state.rtt_cache.push((cand_idx, site_id, base));
+                        base
+                    }
+                };
                 let rtt = self.config.rtt.jittered(base, rng) * ov.rtt_factor;
                 let hop = if rng.chance(self.config.missing_hop_prob) {
                     None
                 } else {
                     Some(world.catalog.facilities.get(facility).edge_router())
                 };
-                let row = world.catalog.site(target.letter, site_id);
-                let identity = observed_identity(row, rng);
-                (Some(rtt), hop, identity, Some(row.city.name))
+                let identity = world.identities[row_idx].clone();
+                (Some(rtt), hop, Some(identity), Some(row.city.name))
             }
         };
-        sink.probe(&ProbeRecord {
+        sink.probe(ProbeRecord {
             time,
             vp: vp.id,
             target,
@@ -770,7 +824,7 @@ impl<'w> MeasurementEngine<'w> {
                 Some(TransferFault::Stale { serial }) => serial,
                 _ => serial_of_day(time - time % 86400),
             };
-            sink.transfer(&TransferRecord {
+            sink.transfer(TransferRecord {
                 time,
                 vp_clock,
                 vp: vp.id,
@@ -849,10 +903,11 @@ pub fn churn_multiplier(letter: RootLetter, family: Family) -> f64 {
     }
 }
 
-/// Serial of the zone generated on `day` (day-start timestamp).
+/// Serial of the zone generated on `day` (day-start timestamp):
+/// `YYYYMMDD00`, computed without formatting (it runs once per transfer).
 pub fn serial_of_day(day: u32) -> u32 {
-    let ymd: String = timestamp_to_ymd(day).chars().take(8).collect();
-    ymd.parse::<u32>().expect("8 digits") * 100
+    let (y, m, d) = timestamp_to_date(day);
+    (y * 10_000 + m * 100 + d) * 100
 }
 
 /// What `hostname.bind` shows for a site: the mapped identifier when the
@@ -860,27 +915,22 @@ pub fn serial_of_day(day: u32) -> u32 {
 /// stable-but-unmappable blob for the rest (the paper observed 1,604
 /// distinct identifiers, 135 of which did not map — identifiers are
 /// per-instance constants, not per-query noise).
-fn observed_identity(row: &rss::catalog::RootSite, _rng: &mut SimRng) -> Option<String> {
+fn observed_identity(row: &rss::catalog::RootSite) -> String {
     if let Some(id) = &row.instance_id {
-        return Some(id.clone());
+        return id.clone();
     }
     if !row.letter.identifiers_mappable() {
         // j.root contributed 75 of the paper's 135 unmapped identifiers:
         // roughly a third of its instances report something that maps to
         // nothing. Site-id keyed, so the set of opaque instances is stable.
         if row.letter == RootLetter::J && row.site_id.0.is_multiple_of(3) {
-            return Some(format!("opaque-j{:04}", row.site_id.0));
+            return format!("opaque-j{:04}", row.site_id.0);
         }
         // IATA code embedded in the node hostname, metro-granular.
-        return Some(format!(
-            "{}-{}{}",
-            row.letter.ch(),
-            row.iata,
-            row.facility.0 % 4 + 1
-        ));
+        return format!("{}-{}{}", row.letter.ch(), row.iata, row.facility.0 % 4 + 1);
     }
     // Mappable operator, unmappable node: stable per site.
-    Some(format!("opaque-{}{:04}", row.letter.ch(), row.site_id.0))
+    format!("opaque-{}{:04}", row.letter.ch(), row.site_id.0)
 }
 
 /// How many sites of each scope a letter exposes to a VP — used by coverage
@@ -1356,8 +1406,42 @@ mod tests {
     }
 
     #[test]
+    fn identity_table_matches_observed_identity() {
+        for world in [tiny_world(), World::build(&WorldBuildConfig::default())] {
+            assert_eq!(world.identities.len(), world.catalog.sites.len());
+            for (row, shared) in world.catalog.sites.iter().zip(&world.identities) {
+                assert_eq!(**shared, *observed_identity(row));
+            }
+        }
+    }
+
+    #[test]
+    fn probes_share_their_site_identity() {
+        let world = tiny_world();
+        let engine = MeasurementEngine::new(&world, short_config());
+        let sink = engine.run_parallel(2);
+        let mut answered = 0;
+        for p in &sink.probes {
+            let (Some(site), Some(id)) = (p.site, &p.identity) else {
+                assert!(p.site.is_none() && p.identity.is_none());
+                continue;
+            };
+            let row = world.catalog.site_index(p.target.letter, site);
+            assert!(Arc::ptr_eq(id, &world.identities[row]));
+            answered += 1;
+        }
+        assert!(answered > 0);
+    }
+
+    #[test]
     fn serial_of_day_formats() {
         use dns_crypto::validity::timestamp_from_ymd as ts;
         assert_eq!(serial_of_day(ts("20231127000000").unwrap()), 2023112700);
+        // The arithmetic serial equals the formatted date for every day a
+        // `u32` timestamp can name.
+        for day in (0..=u32::MAX / 86400).map(|d| d * 86400) {
+            let ymd = dns_crypto::validity::timestamp_to_ymd(day);
+            assert_eq!(serial_of_day(day), ymd[..8].parse::<u32>().unwrap() * 100);
+        }
     }
 }

@@ -13,6 +13,7 @@ use netsim::anycast::SiteId;
 use netsim::Family;
 use rss::{BRootPhase, RootLetter};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A probe target: a letter, with b.root split into old/new addresses
 /// (the measurement script probes both during the transition).
@@ -68,8 +69,9 @@ pub struct ProbeRecord {
     pub rtt_ms: Option<f64>,
     /// Second-to-last traceroute hop identity (None = hop missing).
     pub second_to_last_hop: Option<u64>,
-    /// `hostname.bind`/`id.server` answer, as observed.
-    pub identity: Option<String>,
+    /// `hostname.bind`/`id.server` answer, as observed. The engine shares
+    /// one allocation per site across every probe that site answered.
+    pub identity: Option<Arc<str>>,
 }
 
 /// Fault tags attached to a zone transfer observation.
