@@ -257,9 +257,9 @@ pub fn run_all(pipeline: &Pipeline) -> String {
     let mut sections: Vec<Option<String>> = (0..experiments.len()).map(|_| None).collect();
     let collected: std::sync::Mutex<Vec<(usize, String)>> =
         std::sync::Mutex::new(Vec::with_capacity(experiments.len()));
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 let Some(e) = experiments.get(i) else { break };
                 let mut section = format!("==== {} [{}] ====\n", e.id, e.paper_ref);
@@ -268,8 +268,7 @@ pub fn run_all(pipeline: &Pipeline) -> String {
                 collected.lock().unwrap().push((i, section));
             });
         }
-    })
-    .expect("experiment worker panicked");
+    });
     for (i, section) in collected.into_inner().unwrap() {
         sections[i] = Some(section);
     }

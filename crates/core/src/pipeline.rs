@@ -44,20 +44,20 @@ impl Pipeline {
             cfg.population.clients_per_family = clients;
             generate_flows(cfg, windows)
         };
-        let (mut sink, isp_flows, ixp_flows_eu, ixp_flows_na) = crossbeam::scope(|s| {
-            let isp = s.spawn(move |_| {
+        let (mut sink, isp_flows, ixp_flows_eu, ixp_flows_na) = std::thread::scope(|s| {
+            let isp = s.spawn(move || {
                 trace(
                     &mut TraceConfig::isp(seed),
                     &ObservationWindow::isp_windows(),
                 )
             });
-            let eu = s.spawn(move |_| {
+            let eu = s.spawn(move || {
                 trace(
                     &mut TraceConfig::ixp(Region::Europe, seed ^ 1),
                     &ObservationWindow::ixp_windows(),
                 )
             });
-            let na = s.spawn(move |_| {
+            let na = s.spawn(move || {
                 trace(
                     &mut TraceConfig::ixp(Region::NorthAmerica, seed ^ 2),
                     &ObservationWindow::ixp_windows(),
@@ -72,8 +72,7 @@ impl Pipeline {
                 eu.join().expect("ixp-eu trace generation panicked"),
                 na.join().expect("ixp-na trace generation panicked"),
             )
-        })
-        .expect("pipeline scope panicked");
+        });
 
         // Subsampled schedules can skip the short stale-site windows
         // entirely; cover them at full resolution (like the paper's 15-min

@@ -29,7 +29,7 @@ pub fn evaluate_batch(
     }
     let chunk = plans.len().div_ceil(workers);
     let results: Mutex<Vec<(usize, Vec<CandidateScore>)>> = Mutex::new(Vec::new());
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for w in 0..workers {
             let lo = w * chunk;
             let hi = ((w + 1) * chunk).min(plans.len());
@@ -37,15 +37,14 @@ pub fn evaluate_batch(
                 continue;
             }
             let results = &results;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut ctx = EvalContext::new(world, letter, timeline);
                 let part: Vec<CandidateScore> =
                     plans[lo..hi].iter().map(|p| ctx.evaluate(p)).collect();
                 results.lock().push((lo, part));
             });
         }
-    })
-    .expect("worker panicked");
+    });
     let mut parts = results.into_inner();
     parts.sort_by_key(|(lo, _)| *lo);
     parts.into_iter().flat_map(|(_, part)| part).collect()

@@ -46,7 +46,6 @@ use netsim::topology::Topology;
 use netsim::types::{AsId, Family, Tier};
 use rss::catalog::RootCatalog;
 use rss::RootLetter;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -796,8 +795,9 @@ pub enum ChaosOutcome {
 /// What one chaos run measured. `flags` and `digests` are per global
 /// query index: flags pack class (bits 0..=1: 0 benign, 1 junk,
 /// 2 chaos), outcome (bits 2..=4) and a late bit (5); digests are a
-/// per-response FNV over the delivered bytes (0 = no response), which is
-/// what [`FarmChaosReport::diff_twin`] compares for byte-identity.
+/// per-response word-at-a-time digest of the delivered bytes (0 = no
+/// response), which is what [`FarmChaosReport::diff_twin`] compares for
+/// byte-identity.
 #[derive(Debug, Clone)]
 pub struct FarmChaosReport {
     pub queries: usize,
@@ -1029,6 +1029,7 @@ impl FarmChaosReport {
 
 /// One steering epoch of one letter: the failover tables and offered
 /// weights in force from `start_ms` until the next epoch.
+#[derive(Debug, PartialEq)]
 struct EpochSteer {
     start_ms: u64,
     /// `steer[family][client position] -> engine slot` over the live
@@ -1038,15 +1039,30 @@ struct EpochSteer {
     weights: Vec<f64>,
 }
 
-/// FNV over one delivered response, salted with the global query index.
-/// Never 0, so 0 unambiguously means "no response".
+/// Word-at-a-time digest of one delivered response, salted with the
+/// global query index: the length and `g` seed the state, each 8-byte
+/// little-endian word (the tail zero-padded) goes through one folded
+/// 64×64→128 multiply, and a last multiply avalanches the result. Never
+/// 0, so 0 unambiguously means "no response".
 fn digest_response(g: u64, resp: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ g.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    for &b in resp {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
+    const K0: u64 = 0xa076_1d64_78bd_642f;
+    const K1: u64 = 0xe703_7ed1_a0b4_28db;
+    let fold = |a: u64, b: u64| {
+        let m = u128::from(a) * u128::from(b);
+        m as u64 ^ (m >> 64) as u64
+    };
+    let mut h = fold(g ^ K0, resp.len() as u64 ^ K1);
+    let mut words = resp.chunks_exact(8);
+    for w in &mut words {
+        h = fold(h ^ u64::from_le_bytes(w.try_into().unwrap()), K1);
     }
-    h | 1
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = fold(h ^ u64::from_le_bytes(last), K1);
+    }
+    fold(h ^ K0, K1) | 1
 }
 
 /// Shed probabilities `(junk, benign)` for a slot whose offered share is
@@ -1227,8 +1243,10 @@ impl Farm {
     /// plane's health timelines: Dead sites are withdrawn from the
     /// letter's anycast announcement and catchments recomputed through
     /// the same Gao-Rexford propagation as at build time — failover *is*
-    /// a BGP withdrawal, not a special path. Identical dead-masks share
-    /// one computation.
+    /// a BGP withdrawal, not a special path. Each distinct (letter,
+    /// dead-mask, family) propagation runs once, spread over up to
+    /// `cfg.farm.shards` threads; the epochs are assembled in (letter,
+    /// epoch) order, so they are the same for any thread count.
     fn chaos_steering(
         &self,
         topology: &Topology,
@@ -1237,70 +1255,98 @@ impl Farm {
     ) -> Vec<Vec<EpochSteer>> {
         let pool = self.clients.len().max(1);
         let clients = cfg.farm.clients.max(1);
+        let timelines: Vec<Vec<(u64, Vec<bool>)>> = control
+            .letters
+            .iter()
+            .map(|lc| lc.timeline.steering_epochs())
+            .collect();
+        let live_ids = |lf: &LetterFarm, dead: &[bool]| -> Vec<u32> {
+            lf.site_ids
+                .iter()
+                .enumerate()
+                .filter(|&(slot, _)| !dead.get(slot).copied().unwrap_or(false))
+                .map(|(_, &id)| id)
+                .collect()
+        };
+        // Distinct withdrawals, first-seen order. All-live masks keep the
+        // base tables — and so do all-dead ones, where steering is moot:
+        // every query hedges into the void.
+        let mut masks: Vec<(usize, &[bool])> = Vec::new();
+        for (li, (lf, epochs)) in self.letters.iter().zip(&timelines).enumerate() {
+            for (_, dead) in epochs {
+                let live = live_ids(lf, dead).len();
+                if live != 0 && live != lf.site_ids.len() && !masks.contains(&(li, dead)) {
+                    masks.push((li, dead));
+                }
+            }
+        }
+        let jobs: Vec<(usize, &[bool], Family)> = masks
+            .iter()
+            .flat_map(|&(li, dead)| [Family::V4, Family::V6].map(|family| (li, dead, family)))
+            .collect();
+        let withdraw = |&(li, dead, family): &(usize, &[bool], Family)| -> Vec<u16> {
+            let lf = &self.letters[li];
+            let live = live_ids(lf, dead);
+            let withdrawn = Deployment {
+                name: lf.deployment.name.clone(),
+                sites: lf
+                    .deployment
+                    .sites
+                    .iter()
+                    .filter(|s| live.contains(&s.id.0))
+                    .cloned()
+                    .collect(),
+            };
+            let fallback = lf
+                .site_ids
+                .iter()
+                .position(|id| live.contains(id))
+                .unwrap_or(0) as u16;
+            let routes = propagate(topology, &withdrawn, family);
+            self.clients
+                .iter()
+                .map(|&asn| {
+                    routes
+                        .best(asn)
+                        .and_then(|c| lf.site_ids.iter().position(|&id| id == c.site.0))
+                        .map(|slot| slot as u16)
+                        .unwrap_or(fallback)
+                })
+                .collect()
+        };
+        let withdraw = &withdraw;
+        let per_thread = jobs.len().div_ceil(cfg.farm.shards.max(1)).max(1);
+        let tables: Vec<Vec<u16>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = jobs
+                .chunks(per_thread)
+                .map(|chunk| scope.spawn(move || chunk.iter().map(withdraw).collect::<Vec<_>>()))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
         self.letters
             .iter()
-            .zip(&control.letters)
-            .map(|(lf, lc)| {
-                let nslots = lf.engines.len();
-                let mut memo: HashMap<Vec<bool>, [Vec<u16>; 2]> = HashMap::new();
-                lc.timeline
-                    .steering_epochs()
-                    .into_iter()
+            .zip(&timelines)
+            .enumerate()
+            .map(|(li, (lf, epochs))| {
+                epochs
+                    .iter()
                     .map(|(start_ms, dead)| {
-                        let steer = memo
-                            .entry(dead.clone())
-                            .or_insert_with(|| {
-                                let live: Vec<u32> = lf
-                                    .site_ids
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|&(slot, _)| !dead.get(slot).copied().unwrap_or(false))
-                                    .map(|(_, &id)| id)
-                                    .collect();
-                                if live.len() == lf.site_ids.len() || live.is_empty() {
-                                    // All live (base tables) — or none,
-                                    // in which case steering is moot:
-                                    // every query hedges into the void.
-                                    return lf.steer.clone();
-                                }
-                                let withdrawn = Deployment {
-                                    name: lf.deployment.name.clone(),
-                                    sites: lf
-                                        .deployment
-                                        .sites
-                                        .iter()
-                                        .filter(|s| live.contains(&s.id.0))
-                                        .cloned()
-                                        .collect(),
-                                };
-                                let fallback =
-                                    lf.site_ids
-                                        .iter()
-                                        .position(|id| live.contains(id))
-                                        .unwrap_or(0) as u16;
-                                [Family::V4, Family::V6].map(|family| {
-                                    let routes = propagate(topology, &withdrawn, family);
-                                    self.clients
-                                        .iter()
-                                        .map(|&asn| {
-                                            routes
-                                                .best(asn)
-                                                .and_then(|c| {
-                                                    lf.site_ids
-                                                        .iter()
-                                                        .position(|&id| id == c.site.0)
-                                                })
-                                                .map(|slot| slot as u16)
-                                                .unwrap_or(fallback)
-                                        })
-                                        .collect()
-                                })
-                            })
-                            .clone();
-                        let weights =
-                            offered_weights(&steer, nslots, clients, pool, cfg.farm.v6_fraction);
+                        let steer = match masks.iter().position(|&m| m == (li, dead.as_slice())) {
+                            Some(k) => [tables[2 * k].clone(), tables[2 * k + 1].clone()],
+                            None => lf.steer.clone(),
+                        };
+                        let weights = offered_weights(
+                            &steer,
+                            lf.engines.len(),
+                            clients,
+                            pool,
+                            cfg.farm.v6_fraction,
+                        );
                         EpochSteer {
-                            start_ms,
+                            start_ms: *start_ms,
                             steer,
                             weights,
                         }
@@ -1308,6 +1354,28 @@ impl Farm {
                     .collect()
             })
             .collect()
+    }
+
+    /// Run the control plane over the farm's roster up to the chaos
+    /// horizon: health timelines, ground-truth outage/stall tables,
+    /// restart ladders.
+    fn chaos_control(&self, cfg: &FarmChaosConfig) -> ControlPlane {
+        let roster: Vec<(RootLetter, Vec<u32>)> = self
+            .letters
+            .iter()
+            .map(|lf| (lf.letter, lf.site_ids.clone()))
+            .collect();
+        let last_arrival =
+            cfg.arrivals
+                .attempt_at(cfg.farm.queries as u64, 1, cfg.hedge_timeout_ms);
+        let horizon = last_arrival
+            .max(
+                cfg.plan
+                    .max_finite_end()
+                    .saturating_add(cfg.recovery.budget_ms()),
+            )
+            .saturating_add(4 * cfg.health.probe_interval_ms);
+        run_control_plane(&roster, &cfg.plan, &cfg.health, &cfg.recovery, horizon)
     }
 
     /// Apply the plan's poisoned reloads through the validated reload
@@ -1379,24 +1447,7 @@ impl Farm {
         let (reloads_rejected, reloads_accepted, reload_violations) =
             self.apply_poisoned_reloads(cfg);
 
-        // Control plane: health timelines, ground-truth outage/stall
-        // tables, restart ladders.
-        let roster: Vec<(RootLetter, Vec<u32>)> = self
-            .letters
-            .iter()
-            .map(|lf| (lf.letter, lf.site_ids.clone()))
-            .collect();
-        let last_arrival =
-            cfg.arrivals
-                .attempt_at(cfg.farm.queries as u64, 1, cfg.hedge_timeout_ms);
-        let horizon = last_arrival
-            .max(
-                cfg.plan
-                    .max_finite_end()
-                    .saturating_add(cfg.recovery.budget_ms()),
-            )
-            .saturating_add(4 * cfg.health.probe_interval_ms);
-        let control = run_control_plane(&roster, &cfg.plan, &cfg.health, &cfg.recovery, horizon);
+        let control = self.chaos_control(cfg);
         let epochs = self.chaos_steering(topology, &control, cfg);
         let epochs = &epochs;
         let control = &control;
@@ -1656,6 +1707,9 @@ impl Farm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dns_wire::edns::{set_edns, Edns};
+    use dns_wire::rdata::Rdata;
+    use dns_wire::{Message, Name, Question, Rcode, RrType};
     use dns_zone::rollout::RolloutPhase;
     use dns_zone::rootzone::{build_root_zone, RootZoneConfig};
     use dns_zone::signer::ZoneKeys;
@@ -1761,6 +1815,141 @@ mod tests {
                     "{letter:?} {family:?}: catchments must use >1 site"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn digest_golden_vectors() {
+        // Pinned so that any change to the digest is a deliberate one.
+        let inputs: [(u64, &[u8]); 3] = [
+            (0, b""),
+            (7, b"root"),
+            (300_000, b"the roots go deep: '.' under change"),
+        ];
+        let got: Vec<u64> = inputs
+            .iter()
+            .map(|&(g, bytes)| digest_response(g, bytes))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                0x832f_f0d4_5093_5051,
+                0x2369_096d_c00a_6429,
+                0x59b5_12b5_788a_7361
+            ]
+        );
+    }
+
+    #[test]
+    fn digest_sees_every_bit_of_real_responses() {
+        let (_, _, _, farm) = small_farm();
+        let site = farm.letters[0].site_ids[0];
+        let engine = farm.engine_at(RootLetter::A, site).unwrap();
+        let tld = Name::parse(&format!("www.{}.", farm.tlds[0])).unwrap();
+        let mut queries = [
+            Message::query(1, Question::new(tld, RrType::A)),
+            Message::query(
+                2,
+                Question::new(Name::parse("nosuchtld12345.").unwrap(), RrType::A),
+            ),
+            Message::query(
+                3,
+                Question::chaos_txt(Name::parse("version.bind.").unwrap()),
+            ),
+        ];
+        let mut batch = UdpBatch::new();
+        for q in &mut queries {
+            set_edns(q, &Edns::dnssec());
+            batch.push_request(&q.to_wire());
+        }
+        let tally = engine.serve_udp_batch(&mut batch);
+        assert!(tally.hits >= 1, "the referral comes from the answer cache");
+        let responses: Vec<Vec<u8>> = (0..batch.len())
+            .map(|i| batch.response(i).expect("answered").to_vec())
+            .collect();
+        let decoded: Vec<Message> = responses
+            .iter()
+            .map(|r| Message::from_wire(r).unwrap())
+            .collect();
+        assert!(decoded[0]
+            .authorities
+            .iter()
+            .any(|r| r.rr_type == RrType::Ns));
+        assert_eq!(decoded[1].header.rcode, Rcode::NxDomain);
+        assert!(matches!(decoded[2].answers[0].rdata, Rdata::Txt(_)));
+        for (k, resp) in responses.iter().enumerate() {
+            let g = 1_000 + k as u64;
+            let d = digest_response(g, resp);
+            assert_ne!(d, 0);
+            assert_ne!(d, digest_response(g + 1, resp), "response {k}: g vs g+1");
+            let mut flipped = resp.clone();
+            for bit in 0..resp.len() * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(digest_response(g, &flipped), d, "response {k}: bit {bit}");
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+            assert_ne!(
+                digest_response(g, &resp[..resp.len() - 1]),
+                d,
+                "response {k}: truncated"
+            );
+            let mut extended = resp.clone();
+            extended.push(0);
+            assert_ne!(digest_response(g, &extended), d, "response {k}: extended");
+        }
+    }
+
+    #[test]
+    fn chaos_steering_is_identical_across_thread_counts() {
+        let (topology, catalog, zone) = world();
+        let farm = Farm::build(
+            &topology,
+            &catalog,
+            zone,
+            &[RootLetter::A, RootLetter::B, RootLetter::C],
+            4,
+        );
+        let mut cfg = chaos_cfg(31, 6_000);
+        let site = |li: usize, pos: usize| farm.letters[li].site_ids[pos];
+        cfg.plan.add(
+            RootLetter::A,
+            site(0, 1),
+            crate::recovery::FailureKind::Crash,
+            (600, 2_400),
+        );
+        cfg.plan.add(
+            RootLetter::B,
+            site(1, 0),
+            crate::recovery::FailureKind::Blackhole,
+            (900, 2_100),
+        );
+        cfg.plan.add(
+            RootLetter::C,
+            site(2, 1),
+            crate::recovery::FailureKind::Crash,
+            (700, 2_300),
+        );
+        cfg.plan.add(
+            RootLetter::C,
+            site(2, 0),
+            crate::recovery::FailureKind::Stall { delay_ms: 250 },
+            (600, 3_000),
+        );
+        let control = farm.chaos_control(&cfg);
+        cfg.farm.shards = 1;
+        let serial = farm.chaos_steering(&topology, &control, &cfg);
+        assert!(
+            serial.iter().all(|epochs| epochs.len() > 1),
+            "every letter must re-steer: {:?}",
+            serial.iter().map(Vec::len).collect::<Vec<_>>()
+        );
+        for threads in [2, 4] {
+            cfg.farm.shards = threads;
+            assert_eq!(
+                farm.chaos_steering(&topology, &control, &cfg),
+                serial,
+                "threads={threads}"
+            );
         }
     }
 

@@ -614,7 +614,7 @@ impl<'w> MeasurementEngine<'w> {
         // laid out in VP order, so each worker borrows its contiguous slice
         // exclusively (same disjointness argument as the VPs).
         let mut rest = &mut session.states[..slots];
-        let parts: Vec<VecSink> = crossbeam::scope(|scope| {
+        let parts: Vec<VecSink> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
             for w in 0..workers as u32 {
                 let lo = w * chunk;
@@ -625,7 +625,7 @@ impl<'w> MeasurementEngine<'w> {
                 let (states, tail) =
                     std::mem::take(&mut rest).split_at_mut((hi - lo) as usize * STATES_PER_VP);
                 rest = tail;
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     let mut sink = VecSink::default();
                     self.run_vps_with(states, lo..hi, rounds, &mut sink);
                     sink
@@ -636,8 +636,7 @@ impl<'w> MeasurementEngine<'w> {
                 .into_iter()
                 .map(|h| h.join().expect("measurement worker panicked"))
                 .collect()
-        })
-        .expect("worker panicked");
+        });
         // Merge into the first range's sink, reserving the summed size of
         // the others up front: growing the multi-hundred-MB record vectors
         // part by part would reallocate and copy them, and a fresh merged
