@@ -1,6 +1,6 @@
 //! Serving-layer benchmarks: per-query engine cost for every answer shape
 //! (apex data, referral, NXDOMAIN, the oversized priming response, CHAOS
-//! identity), the AXFR stream, and a full load-generator run that pushes
+//! identity, and two uncached referrals), the AXFR stream, and a full load-generator run that pushes
 //! one million B-Root-shaped queries through the parse → serve → encode
 //! path and publishes throughput plus latency quantiles into
 //! `BENCH_results.json` via [`criterion::record_metric`].
@@ -63,6 +63,16 @@ fn bench_engine(c: &mut Criterion) {
         ),
         ("serve_nxdomain_do", query("nosuchtld.", RrType::A, true)),
         ("serve_priming_tc", query(".", RrType::Ns, true)),
+        // The uncached answerer: the cache precompiles no PTR shapes and
+        // no names below a delegation, so both take the fallback path.
+        (
+            "serve_fallback_referral_do",
+            query(&format!("{}.", tld_label(7)), RrType::Other(12), true),
+        ),
+        (
+            "serve_fallback_below_cut_do",
+            query(&format!("www.{}.", tld_label(7)), RrType::A, true),
+        ),
     ] {
         group.bench_function(label, |b| {
             let mut out = Vec::with_capacity(4096);

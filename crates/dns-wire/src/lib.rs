@@ -31,7 +31,7 @@ pub mod tcp;
 pub mod wire;
 
 pub use class::Class;
-pub use message::{Flags, Header, Message, Opcode, Question, Rcode};
+pub use message::{Flags, Header, Message, Opcode, Question, Rcode, Sections};
 pub use name::Name;
 pub use rdata::Rdata;
 pub use record::Record;

@@ -5,6 +5,7 @@ use crate::name::Name;
 use crate::record::Record;
 use crate::rrtype::RrType;
 use crate::wire::{WireError, WireReader, WireWriter};
+use std::borrow::Borrow;
 
 /// Message opcode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,6 +113,26 @@ impl Default for Header {
     }
 }
 
+impl Header {
+    /// The header of an authoritative response to a query with this
+    /// header: id and opcode echoed, QR and AA set, and the RD and CD bits
+    /// copied (RFC 1035 §4.1.1; RFC 4035 §3.1.6 for CD).
+    pub fn response(&self, rcode: Rcode) -> Header {
+        Header {
+            id: self.id,
+            opcode: self.opcode,
+            rcode,
+            flags: Flags {
+                response: true,
+                authoritative: true,
+                recursion_desired: self.flags.recursion_desired,
+                checking_disabled: self.flags.checking_disabled,
+                ..Flags::default()
+            },
+        }
+    }
+}
+
 /// A question entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Question {
@@ -169,21 +190,23 @@ impl Message {
     /// An authoritative response to `query` with the given answers.
     pub fn response_to(query: &Message, rcode: Rcode, answers: Vec<Record>) -> Self {
         Message {
-            header: Header {
-                id: query.header.id,
-                opcode: query.header.opcode,
-                rcode,
-                flags: Flags {
-                    response: true,
-                    authoritative: true,
-                    recursion_desired: query.header.flags.recursion_desired,
-                    ..Flags::default()
-                },
-            },
+            header: query.header.response(rcode),
             questions: query.questions.clone(),
             answers,
             authorities: Vec::new(),
             additionals: Vec::new(),
+        }
+    }
+
+    /// The message's parts for the section encoder.
+    pub fn sections(&self) -> Sections<'_, Record> {
+        Sections {
+            header: &self.header,
+            questions: &self.questions,
+            answers: &self.answers,
+            authorities: &self.authorities,
+            additionals: &self.additionals,
+            opt: None,
         }
     }
 
@@ -205,111 +228,13 @@ impl Message {
     /// first). The zero-copy sibling of [`Self::to_wire`] for hot serve
     /// paths that own a scratch buffer.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut w = WireWriter::with_buffer(std::mem::take(out));
-        self.encode_into_writer(&mut w);
-        *out = w.into_bytes();
+        self.sections().encode_into(None, out);
     }
 
     /// Encode into a caller-provided writer (callers that need the
     /// writer's compression-pointer log, e.g. answer-template builders).
     pub fn encode_into_writer(&self, w: &mut WireWriter) {
-        self.encode_view(w, None);
-    }
-
-    /// Encode a truncated view into `out`: only the first `answers` /
-    /// `authorities` records of those sections, the first `additionals`
-    /// records of the additional section plus any OPT record beyond that
-    /// prefix (EDNS must survive truncation, RFC 6891), with the TC flag
-    /// forced on. Record boundaries are never split. This is how a server
-    /// fits a response into a UDP budget without cloning the message.
-    pub fn encode_truncated_into(
-        &self,
-        answers: usize,
-        authorities: usize,
-        additionals: usize,
-        out: &mut Vec<u8>,
-    ) {
-        let mut w = WireWriter::with_buffer(std::mem::take(out));
-        self.encode_view(&mut w, Some((answers, authorities, additionals)));
-        *out = w.into_bytes();
-    }
-
-    fn encode_view(&self, w: &mut WireWriter, view: Option<(usize, usize, usize)>) {
-        let (an, ns, ar, force_tc) = match view {
-            Some((a, n, r)) => (
-                a.min(self.answers.len()),
-                n.min(self.authorities.len()),
-                r.min(self.additionals.len()),
-                true,
-            ),
-            None => (
-                self.answers.len(),
-                self.authorities.len(),
-                self.additionals.len(),
-                false,
-            ),
-        };
-        // OPT records past the kept prefix still ride along.
-        let kept_opts = if force_tc {
-            self.additionals[ar..]
-                .iter()
-                .filter(|r| r.rr_type == RrType::Opt)
-                .count()
-        } else {
-            0
-        };
-        w.put_u16(self.header.id);
-        let f = &self.header.flags;
-        let mut hi: u8 = 0;
-        if f.response {
-            hi |= 0x80;
-        }
-        hi |= self.header.opcode.to_u8() << 3;
-        if f.authoritative {
-            hi |= 0x04;
-        }
-        if f.truncated || force_tc {
-            hi |= 0x02;
-        }
-        if f.recursion_desired {
-            hi |= 0x01;
-        }
-        let mut lo: u8 = self.header.rcode.to_u8();
-        if f.recursion_available {
-            lo |= 0x80;
-        }
-        if f.authentic_data {
-            lo |= 0x20;
-        }
-        if f.checking_disabled {
-            lo |= 0x10;
-        }
-        w.put_u8(hi);
-        w.put_u8(lo);
-        w.put_u16(self.questions.len() as u16);
-        w.put_u16(an as u16);
-        w.put_u16(ns as u16);
-        w.put_u16((ar + kept_opts) as u16);
-        for q in &self.questions {
-            q.name.write_wire_compressed(w);
-            w.put_u16(q.rr_type.to_u16());
-            w.put_u16(q.class.to_u16());
-        }
-        for rec in self.answers[..an]
-            .iter()
-            .chain(&self.authorities[..ns])
-            .chain(&self.additionals[..ar])
-        {
-            rec.write_wire(w);
-        }
-        if kept_opts > 0 {
-            for rec in self.additionals[ar..]
-                .iter()
-                .filter(|r| r.rr_type == RrType::Opt)
-            {
-                rec.write_wire(w);
-            }
-        }
+        self.sections().encode(w, None);
     }
 
     /// Decode from wire bytes.
@@ -369,6 +294,113 @@ impl Message {
             authorities,
             additionals,
         })
+    }
+}
+
+/// A message's parts, borrowed for encoding: the one section encoder
+/// behind [`Message`]'s encode methods and behind responses assembled from
+/// borrowed records (`R = &Record`), so both produce the same bytes.
+#[derive(Debug)]
+pub struct Sections<'a, R> {
+    pub header: &'a Header,
+    pub questions: &'a [Question],
+    pub answers: &'a [R],
+    pub authorities: &'a [R],
+    pub additionals: &'a [R],
+    /// An OPT record written after `additionals`, kept through truncation.
+    pub opt: Option<&'a Record>,
+}
+
+impl<R: Borrow<Record>> Sections<'_, R> {
+    /// Encode into `w`. With `view = Some((an, ns, ar))` only the first
+    /// `an` / `ns` / `ar` records of the answer, authority and additional
+    /// sections are written, plus every OPT record beyond that prefix
+    /// (EDNS must survive truncation, RFC 6891), with the TC flag forced
+    /// on. Record boundaries are never split: this is how a server fits a
+    /// response into a UDP budget without copying it.
+    pub fn encode(&self, w: &mut WireWriter, view: Option<(usize, usize, usize)>) {
+        let (an, ns, ar, force_tc) = match view {
+            Some((a, n, r)) => (
+                a.min(self.answers.len()),
+                n.min(self.authorities.len()),
+                r.min(self.additionals.len()),
+                true,
+            ),
+            None => (
+                self.answers.len(),
+                self.authorities.len(),
+                self.additionals.len(),
+                false,
+            ),
+        };
+        let is_opt = |r: &&R| (*r).borrow().rr_type == RrType::Opt;
+        // OPT records past the kept prefix still ride along.
+        let kept_opts = if force_tc {
+            self.additionals[ar..].iter().filter(is_opt).count()
+        } else {
+            0
+        };
+        let arcount = ar + kept_opts + usize::from(self.opt.is_some());
+        w.put_u16(self.header.id);
+        let f = &self.header.flags;
+        let mut hi: u8 = 0;
+        if f.response {
+            hi |= 0x80;
+        }
+        hi |= self.header.opcode.to_u8() << 3;
+        if f.authoritative {
+            hi |= 0x04;
+        }
+        if f.truncated || force_tc {
+            hi |= 0x02;
+        }
+        if f.recursion_desired {
+            hi |= 0x01;
+        }
+        let mut lo: u8 = self.header.rcode.to_u8();
+        if f.recursion_available {
+            lo |= 0x80;
+        }
+        if f.authentic_data {
+            lo |= 0x20;
+        }
+        if f.checking_disabled {
+            lo |= 0x10;
+        }
+        w.put_u8(hi);
+        w.put_u8(lo);
+        w.put_u16(self.questions.len() as u16);
+        w.put_u16(an as u16);
+        w.put_u16(ns as u16);
+        w.put_u16(arcount as u16);
+        for q in self.questions {
+            q.name.write_wire_compressed(w);
+            w.put_u16(q.rr_type.to_u16());
+            w.put_u16(q.class.to_u16());
+        }
+        for rec in self.answers[..an]
+            .iter()
+            .chain(&self.authorities[..ns])
+            .chain(&self.additionals[..ar])
+        {
+            rec.borrow().write_wire(w);
+        }
+        if kept_opts > 0 {
+            for rec in self.additionals[ar..].iter().filter(is_opt) {
+                rec.borrow().write_wire(w);
+            }
+        }
+        if let Some(opt) = self.opt {
+            opt.write_wire(w);
+        }
+    }
+
+    /// [`Self::encode`] into `out`, reusing its allocation (the buffer is
+    /// cleared first).
+    pub fn encode_into(&self, view: Option<(usize, usize, usize)>, out: &mut Vec<u8>) {
+        let mut w = WireWriter::with_buffer(std::mem::take(out));
+        self.encode(&mut w, view);
+        *out = w.into_bytes();
     }
 }
 
@@ -460,6 +492,31 @@ mod tests {
         m.header.opcode = Opcode::Notify;
         let back = Message::from_wire(&m.to_wire()).unwrap();
         assert_eq!(back.header, m.header);
+    }
+
+    #[test]
+    fn response_copies_rd_and_cd_only() {
+        let mut q = sample_query();
+        q.header.flags = Flags {
+            recursion_desired: true,
+            checking_disabled: true,
+            authentic_data: true,
+            truncated: true,
+            ..Flags::default()
+        };
+        let flags = Message::response_to(&q, Rcode::NoError, Vec::new())
+            .header
+            .flags;
+        assert_eq!(
+            flags,
+            Flags {
+                response: true,
+                authoritative: true,
+                recursion_desired: true,
+                checking_disabled: true,
+                ..Flags::default()
+            }
+        );
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //! messages use RFC 1035 §4.1.4 compression pointers; the reader follows
 //! pointers with loop and bounds protection.
 
-use std::collections::HashMap;
-
 /// Maximum offset addressable by a 14-bit compression pointer.
 const MAX_POINTER_TARGET: usize = 0x3fff;
 
@@ -181,9 +179,8 @@ impl<'a> WireReader<'a> {
 /// Growable writer with a name-compression table.
 pub struct WireWriter {
     buf: Vec<u8>,
-    /// Map from a name suffix (canonical lowercase wire bytes) to the offset
-    /// where that suffix was first written.
-    compress: HashMap<Vec<u8>, usize>,
+    /// Where each name suffix was first written (see [`SuffixTable`]).
+    compress: SuffixTable,
     /// Whether `put_name_compressed` emits pointers (ablation toggle).
     compression_enabled: bool,
     /// Every compression pointer emitted, as `(position, target)` — the
@@ -219,7 +216,7 @@ impl WireWriter {
         buf.clear();
         WireWriter {
             buf,
-            compress: HashMap::new(),
+            compress: SuffixTable::new(),
             compression_enabled: true,
             pointers: Vec::new(),
         }
@@ -263,21 +260,41 @@ impl WireWriter {
     }
 
     /// Write a name using compression pointers where a suffix was already
-    /// emitted. `labels` are raw label bytes, leftmost first.
+    /// emitted. `labels` are raw label bytes (each at most 63 bytes),
+    /// leftmost first. A suffix points at the first offset it was written
+    /// at, and only suffixes starting at or below offset 0x3FFF (the reach
+    /// of a 14-bit pointer) are registered.
     pub fn put_name_compressed(&mut self, labels: &[Vec<u8>]) {
-        for i in 0..labels.len() {
-            let suffix_key = suffix_key(&labels[i..]);
-            if self.compression_enabled {
-                if let Some(&off) = self.compress.get(&suffix_key) {
-                    debug_assert!(off <= MAX_POINTER_TARGET);
-                    self.pointers.push((self.buf.len(), off));
-                    self.put_u16(0xc000 | off as u16);
-                    return;
-                }
+        if !self.compression_enabled {
+            for label in labels {
+                self.put_u8(label.len() as u8);
+                self.put_bytes(label);
+            }
+            self.put_u8(0);
+            return;
+        }
+        let mut inline = [0u64; 32];
+        let mut spilled = Vec::new();
+        let hashes: &mut [u64] = if labels.len() <= inline.len() {
+            &mut inline[..labels.len()]
+        } else {
+            spilled.resize(labels.len(), 0);
+            &mut spilled
+        };
+        suffix_hashes(labels, hashes);
+        for (i, &hash) in hashes.iter().enumerate() {
+            let buf = &self.buf;
+            if let Some(off) = self
+                .compress
+                .find(hash, |off| suffix_at(buf, off, &labels[i..]))
+            {
+                self.pointers.push((self.buf.len(), off));
+                self.put_u16(0xc000 | off as u16);
+                return;
             }
             let here = self.buf.len();
-            if self.compression_enabled && here <= MAX_POINTER_TARGET {
-                self.compress.insert(suffix_key, here);
+            if here <= MAX_POINTER_TARGET {
+                self.compress.insert(hash, here);
             }
             self.put_u8(labels[i].len() as u8);
             self.put_bytes(&labels[i]);
@@ -303,20 +320,178 @@ impl WireWriter {
 
     /// The name suffixes registered for compression so far, as canonical
     /// lowercase wire bytes (label length + lowercased label, repeated; no
-    /// trailing root byte). Response-template builders use this to detect
-    /// question names whose labels would compress against record names —
-    /// those encodings depend on the question and cannot be templated.
-    pub fn compressed_suffixes(&self) -> impl Iterator<Item = &[u8]> {
-        self.compress.keys().map(Vec::as_slice)
+    /// trailing root byte), rebuilt from the bytes written. Response-template
+    /// builders use this to detect question names whose labels would
+    /// compress against record names — those encodings depend on the
+    /// question and cannot be templated.
+    pub fn compressed_suffixes(&self) -> impl Iterator<Item = Vec<u8>> + '_ {
+        self.compress
+            .offsets()
+            .map(|off| suffix_key_at(&self.buf, off))
     }
 }
 
-/// Case-insensitive key for a label suffix.
-fn suffix_key(labels: &[Vec<u8>]) -> Vec<u8> {
+/// Slots kept inline in every writer. A message registering more than
+/// three quarters of this many suffixes (large TCP and AXFR messages)
+/// moves the table to the heap, doubling it as it fills.
+const INLINE_SLOTS: usize = 64;
+
+/// The compression table: an open-addressing hash set of the offsets
+/// where name suffixes were first written, keyed by a case-folded hash of
+/// the suffix. A slot holds the hash's high 48 bits and `offset + 1` in
+/// the low 16 (0 is an empty slot), so a lookup compares hash tags first
+/// and confirms a candidate by matching the suffix against the bytes
+/// already written. Nothing is allocated until the inline slots fill.
+/// The hash is unkeyed, so a crafted name can make probes collide; the
+/// cost stays bounded by the names one message holds, and a collision
+/// never changes the output because every match is confirmed.
+struct SuffixTable {
+    inline: [u64; INLINE_SLOTS],
+    /// Replaces `inline` once it fills; empty (unallocated) until then.
+    heap: Vec<u64>,
+    len: usize,
+}
+
+impl SuffixTable {
+    fn new() -> Self {
+        SuffixTable {
+            inline: [0; INLINE_SLOTS],
+            heap: Vec::new(),
+            len: 0,
+        }
+    }
+
+    fn slots(&self) -> &[u64] {
+        if self.heap.is_empty() {
+            &self.inline
+        } else {
+            &self.heap
+        }
+    }
+
+    /// The first offset under `hash` that `matches` accepts.
+    fn find(&self, hash: u64, mut matches: impl FnMut(usize) -> bool) -> Option<usize> {
+        let slots = self.slots();
+        let mask = slots.len() - 1;
+        let tag = hash & !0xffff;
+        let mut i = (hash >> 16) as usize & mask;
+        loop {
+            let slot = slots[i];
+            if slot == 0 {
+                return None;
+            }
+            if slot & !0xffff == tag {
+                let off = (slot & 0xffff) as usize - 1;
+                if matches(off) {
+                    return Some(off);
+                }
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn insert(&mut self, hash: u64, offset: usize) {
+        debug_assert!(offset <= MAX_POINTER_TARGET);
+        if (self.len + 1) * 4 > self.slots().len() * 3 {
+            let mut grown = vec![0; self.slots().len() * 2];
+            for &slot in self.slots().iter().filter(|&&s| s != 0) {
+                place(&mut grown, slot);
+            }
+            self.heap = grown;
+        }
+        let slot = (hash & !0xffff) | (offset as u64 + 1);
+        if self.heap.is_empty() {
+            place(&mut self.inline, slot);
+        } else {
+            place(&mut self.heap, slot);
+        }
+        self.len += 1;
+    }
+
+    /// Every registered offset (unordered).
+    fn offsets(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slots()
+            .iter()
+            .filter(|&&s| s != 0)
+            .map(|&s| (s & 0xffff) as usize - 1)
+    }
+}
+
+/// Put `slot` in the first free slot of its probe sequence.
+fn place(slots: &mut [u64], slot: u64) {
+    let mask = slots.len() - 1;
+    let mut i = (slot >> 16) as usize & mask;
+    while slots[i] != 0 {
+        i = (i + 1) & mask;
+    }
+    slots[i] = slot;
+}
+
+/// Fill `hashes[i]` with the hash of the suffix `labels[i..]`, right to
+/// left so each label is hashed once. Bytes are folded with `| 0x20`,
+/// which maps ASCII upper case onto lower case (and some other bytes onto
+/// each other — a lookup confirms every tag match on the bytes).
+fn suffix_hashes(labels: &[Vec<u8>], hashes: &mut [u64]) {
+    let mut h: u64 = 0x243f_6a88_85a3_08d3;
+    for (label, slot) in labels.iter().zip(hashes.iter_mut()).rev() {
+        h = fold(h ^ label.len() as u64);
+        for chunk in label.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            h = fold(h ^ (u64::from_le_bytes(word) | 0x2020_2020_2020_2020));
+        }
+        *slot = h;
+    }
+}
+
+/// One 64×64→128 multiply, folded.
+fn fold(x: u64) -> u64 {
+    let m = x as u128 * 0x9e37_79b9_7f4a_7c15;
+    (m as u64) ^ (m >> 64) as u64
+}
+
+/// Whether the name written at `pos` (following pointers) is exactly
+/// `labels`, ASCII case-insensitively. Bounds-checked: a name still being
+/// written simply fails to match.
+fn suffix_at(buf: &[u8], mut pos: usize, labels: &[Vec<u8>]) -> bool {
+    for label in labels {
+        let Some(at) = skip_pointers(buf, pos) else {
+            return false;
+        };
+        let len = buf[at] as usize;
+        match buf.get(at + 1..at + 1 + len) {
+            Some(written) if len == label.len() && written.eq_ignore_ascii_case(label) => {}
+            _ => return false,
+        }
+        pos = at + 1 + len;
+    }
+    skip_pointers(buf, pos).is_some_and(|at| buf[at] == 0)
+}
+
+/// Follow compression pointers from `pos` to the next label-length byte.
+/// Every pointer this writer emits targets an earlier offset, so the walk
+/// ends.
+fn skip_pointers(buf: &[u8], mut pos: usize) -> Option<usize> {
+    loop {
+        let b = *buf.get(pos)?;
+        if b & 0xc0 != 0xc0 {
+            return Some(pos);
+        }
+        pos = ((b as usize & 0x3f) << 8) | *buf.get(pos + 1)? as usize;
+    }
+}
+
+/// The canonical lowercase key of the suffix written at `pos`.
+fn suffix_key_at(buf: &[u8], mut pos: usize) -> Vec<u8> {
     let mut key = Vec::new();
-    for l in labels {
-        key.push(l.len() as u8);
-        key.extend(l.iter().map(|b| b.to_ascii_lowercase()));
+    while let Some(at) = skip_pointers(buf, pos) {
+        let len = buf[at] as usize;
+        let Some(label) = buf.get(at + 1..at + 1 + len).filter(|_| len > 0) else {
+            break;
+        };
+        key.push(len as u8);
+        key.extend(label.iter().map(u8::to_ascii_lowercase));
+        pos = at + 1 + len;
     }
     key
 }

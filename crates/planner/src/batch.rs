@@ -9,7 +9,6 @@
 
 use crate::eval::{CandidateScore, EvalContext, TimelineSpec};
 use crate::moves::CandidatePlan;
-use parking_lot::Mutex;
 use rss::RootLetter;
 use vantage::World;
 
@@ -28,26 +27,27 @@ pub fn evaluate_batch(
         return plans.iter().map(|p| ctx.evaluate(p)).collect();
     }
     let chunk = plans.len().div_ceil(workers);
-    let results: Mutex<Vec<(usize, Vec<CandidateScore>)>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let lo = w * chunk;
-            let hi = ((w + 1) * chunk).min(plans.len());
-            if lo >= hi {
-                continue;
-            }
-            let results = &results;
-            scope.spawn(move || {
-                let mut ctx = EvalContext::new(world, letter, timeline);
-                let part: Vec<CandidateScore> =
-                    plans[lo..hi].iter().map(|p| ctx.evaluate(p)).collect();
-                results.lock().push((lo, part));
-            });
-        }
+    let parts: Vec<Vec<CandidateScore>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| (w * chunk, ((w + 1) * chunk).min(plans.len())))
+            .filter(|(lo, hi)| lo < hi)
+            .map(|(lo, hi)| {
+                scope.spawn(move || {
+                    let mut ctx = EvalContext::new(world, letter, timeline);
+                    plans[lo..hi]
+                        .iter()
+                        .map(|p| ctx.evaluate(p))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        // Joined in chunk order, so the merge order is the plan order.
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("planner worker panicked"))
+            .collect()
     });
-    let mut parts = results.into_inner();
-    parts.sort_by_key(|(lo, _)| *lo);
-    parts.into_iter().flat_map(|(_, part)| part).collect()
+    parts.into_iter().flatten().collect()
 }
 
 /// Order-sensitive digest over every score's ranking-relevant numbers

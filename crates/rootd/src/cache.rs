@@ -6,7 +6,7 @@
 //! are stored, together with pre-truncated variants at the EDNS budget
 //! buckets {512, 1232, 4096}. Serving a hit is then a hash lookup plus a
 //! splice: copy the stored bytes into the caller's scratch buffer and
-//! patch the message id, the RD bit, and the question region (which
+//! patch the message id, the RD and CD bits, and the question region (which
 //! preserves the client's qname casing; compression pointers into the
 //! question stay valid because suffix matching is case-insensitive).
 //!
@@ -19,15 +19,17 @@
 //! because the fallback encoder would compress against the question there
 //! and produce different — equally valid — bytes.
 //!
-//! Everything else falls through to the full parse/respond path: AXFR,
-//! FORMERR, NSID requests, non-canonical OPT records, payload budgets
-//! that are neither a bucket nor large enough for the full response, and
-//! names below a delegation (referral qnames are unbounded too, and cold).
+//! Everything else falls through to the uncached answerer
+//! (`engine::Answerer`), which parses the request and encodes a response
+//! that borrows its records from the zone index: AXFR, FORMERR, NSID
+//! requests, non-canonical OPT records, qtypes not in `CACHED_QTYPES`,
+//! payload budgets that are neither a bucket nor large enough for the full
+//! response, and names below a delegation (referral qnames are unbounded
+//! too, and cold).
 
-use crate::engine::{encode_limited_into, Answerer};
+use crate::engine::{Answerer, ChaosAnswers, SiteIdentity, CHAOS_NAMES};
 use crate::index::{RrsetEntry, ZoneIndex};
-use dns_wire::edns::{set_edns, Edns};
-use dns_wire::rdata::Rdata;
+use dns_wire::edns::{edns_of, set_edns, Edns};
 use dns_wire::wire::WireWriter;
 use dns_wire::{Class, Message, Name, Question, Rcode, RrType};
 use std::collections::{HashMap, HashSet};
@@ -47,14 +49,6 @@ const MAX_LABELS: usize = 127;
 /// 4096 ceiling); anything else falls back when the full response is over
 /// budget.
 const BUCKETS: [usize; 3] = [512, 1232, 4096];
-
-/// The CHAOS identity names answered per-site (RFC 4892 conventions).
-const CHAOS_NAMES: [&str; 4] = [
-    "hostname.bind.",
-    "id.server.",
-    "version.bind.",
-    "version.server.",
-];
 
 /// Qtypes precompiled per zone name. Covers every type the zone can hold
 /// plus the common NODATA probes; other types fall back (and answer
@@ -145,7 +139,7 @@ impl NegTemplate {
         out.extend_from_slice(&self.head);
         out[0] = req[0];
         out[1] = req[1];
-        out[2] = (out[2] & !0x01) | (req[2] & 0x01);
+        echo_flags(req, out);
         out.extend_from_slice(&req[12..qend]);
         out.extend_from_slice(&self.tail);
         let delta = q.qlen - 1;
@@ -317,12 +311,11 @@ impl AnswerCache {
     pub(crate) fn build_zone(index: &ZoneIndex) -> AnswerCache {
         // The answerer's identity fields are only read when building
         // CHAOS shapes, which `include_chaos = false` skips.
-        let version = Rdata::Txt(Vec::new());
+        let chaos = ChaosAnswers::new(&SiteIdentity::default());
         let answerer = Answerer {
             index,
             hostname: None,
-            chaos_hostname: None,
-            chaos_version: &version,
+            chaos: &chaos,
         };
         Self::build_inner(&answerer, false)
     }
@@ -454,15 +447,24 @@ impl AnswerCache {
     }
 }
 
-/// Splice the live request's id, RD bit, and question bytes into a
-/// pre-encoded response already copied into `out` (the stored bytes were
-/// built from an id-0, RD-clear query for the same canonical qname).
+/// Splice the live request's id, RD and CD bits, and question bytes into
+/// a pre-encoded response already copied into `out` (the stored bytes were
+/// built from an id-0, RD- and CD-clear query for the same canonical
+/// qname).
 fn splice_request(req: &[u8], qlen: usize, out: &mut [u8]) {
     out[0] = req[0];
     out[1] = req[1];
-    out[2] = (out[2] & !0x01) | (req[2] & 0x01);
+    echo_flags(req, out);
     let qend = 12 + qlen + 4;
     out[12..qend].copy_from_slice(&req[12..qend]);
+}
+
+/// Copy the request's RD bit (byte 2) and CD bit (byte 3, RFC 4035
+/// §3.1.6) into a stored response header, as `Header::response` does on
+/// the uncached path.
+fn echo_flags(req: &[u8], out: &mut [u8]) {
+    out[2] = (out[2] & !0x01) | (req[2] & 0x01);
+    out[3] = (out[3] & !0x10) | (req[3] & 0x10);
 }
 
 /// Per-engine CHAOS identity shapes, consulted after a shared zone-only
@@ -559,14 +561,14 @@ fn state_query(name: &Name, qtype: RrType, class: Class, state: usize) -> Messag
 fn build_shape(answerer: &Answerer<'_>, name: &Name, qtype: RrType, class: Class) -> ExactShape {
     let states = [0, 1, 2].map(|state| {
         let query = state_query(name, qtype, class, state);
-        let resp = answerer.respond(&query);
+        let resp = answerer.respond(&query, edns_of(&query).as_ref());
         let full = resp.to_wire();
         let variant = |bucket: usize| {
             if full.len() <= bucket {
                 return None;
             }
             let mut v = Vec::new();
-            encode_limited_into(&resp, bucket, &mut v);
+            resp.encode_limited_into(bucket, &mut v);
             Some(v.into_boxed_slice())
         };
         ResponseSet {
@@ -593,7 +595,7 @@ fn build_negative(
 ) -> Option<NegTemplate> {
     let query = state_query(&Name::root(), RrType::A, Class::In, state);
     let mut resp = answerer.negative_with(&query, Rcode::NxDomain, state == 2, nsec);
-    answerer.attach_edns(&query, &mut resp);
+    answerer.attach_edns(edns_of(&query).as_ref(), &mut resp);
     let mut w = WireWriter::new();
     resp.encode_into_writer(&mut w);
     let mut fixups = Vec::new();
@@ -603,7 +605,7 @@ fn build_negative(
         }
         fixups.push(((pos - ROOT_QEND) as u16, target as u16));
     }
-    let excluded = w.compressed_suffixes().map(<[u8]>::to_vec).collect();
+    let excluded = w.compressed_suffixes().collect();
     let bytes = w.into_bytes();
     let mut head = [0u8; 12];
     head.copy_from_slice(&bytes[..12]);

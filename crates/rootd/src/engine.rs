@@ -10,28 +10,30 @@
 //!
 //! The hot path is the precompiled [`AnswerCache`]: when enabled
 //! ([`Rootd::with_answer_cache`]), `serve_udp_into` first tries a hash
-//! lookup that splices the request id, RD bit, and question bytes into a
-//! pre-encoded response — zero allocation, zero record cloning. Cold
-//! shapes (AXFR, FORMERR, NSID, odd payload sizes) fall through to the
-//! full parse/respond/encode path below. Zone swaps ([`Rootd::reload`])
+//! lookup that splices the request id, RD and CD bits, and question bytes
+//! into a pre-encoded response — zero allocation, zero record cloning.
+//! Cold shapes (AXFR, FORMERR, NSID, odd payload sizes, uncached qtypes,
+//! names below a cut) fall through to the full parse/respond/encode path
+//! below, whose responses borrow their records from the zone index
+//! instead of cloning them. Zone swaps ([`Rootd::reload`])
 //! replace the whole serving state atomically behind an epoch-swapped
 //! `Arc`, bumping [`Rootd::generation`].
 
 use crate::cache::{AnswerCache, ChaosCache};
 use crate::index::{Lookup, ZoneIndex};
+use crate::response::Response;
 use crate::rrl::{self, ResponseClass, Rrl, RrlConfig, RrlDecision};
 use crate::transport::UdpBatch;
-use dns_wire::edns::{edns_of, set_edns, Edns};
+use dns_wire::edns::{edns_of, Edns};
 use dns_wire::message::Opcode;
 use dns_wire::rdata::Rdata;
 use dns_wire::{Class, Message, Question, Rcode, Record, RrType};
 use dns_zone::axfr::serve_axfr;
 use dns_zone::zone::Zone;
 use dns_zone::zonemd::ZonemdError;
-use parking_lot::RwLock;
 use rss::catalog::RootSite;
 use rss::RootLetter;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Minimum response budget every DNS/UDP client must accept (RFC 1035).
 pub const MIN_UDP_PAYLOAD: usize = 512;
@@ -121,6 +123,27 @@ struct ServingState {
     rrl: Option<Arc<Rrl>>,
 }
 
+/// The epoch pointer: the current [`ServingState`] behind a lock held
+/// only to read or swap the `Arc` (once per datagram, or once per batch).
+/// A swap is a single pointer store, so a panic elsewhere cannot leave it
+/// half-written: poisoning is ignored.
+#[derive(Debug)]
+struct Epoch(RwLock<Arc<ServingState>>);
+
+impl Epoch {
+    fn new(state: ServingState) -> Epoch {
+        Epoch(RwLock::new(Arc::new(state)))
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, Arc<ServingState>> {
+        self.0.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Arc<ServingState>> {
+        self.0.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// One letter's epoch-swapped serving state, shared by every site engine
 /// of that letter ([`Rootd::with_shared_state`]). The zone index and the
 /// identity-free answer cache are built once per letter; a
@@ -128,7 +151,7 @@ struct ServingState {
 /// engines atomically (in-flight queries finish against the old state).
 #[derive(Debug, Clone)]
 pub struct SharedState {
-    state: Arc<RwLock<Arc<ServingState>>>,
+    state: Arc<Epoch>,
 }
 
 impl SharedState {
@@ -137,12 +160,12 @@ impl SharedState {
     pub fn build(index: Arc<ZoneIndex>) -> SharedState {
         let cache = Some(Arc::new(AnswerCache::build_zone(&index)));
         SharedState {
-            state: Arc::new(RwLock::new(Arc::new(ServingState {
+            state: Arc::new(Epoch::new(ServingState {
                 index,
                 cache,
                 generation: 0,
                 rrl: None,
-            }))),
+            })),
         }
     }
 
@@ -152,12 +175,12 @@ impl SharedState {
     /// thirteen times would be pure waste.
     pub(crate) fn with_parts(index: Arc<ZoneIndex>, cache: Arc<AnswerCache>) -> SharedState {
         SharedState {
-            state: Arc::new(RwLock::new(Arc::new(ServingState {
+            state: Arc::new(Epoch::new(ServingState {
                 index,
                 cache: Some(cache),
                 generation: 0,
                 rrl: None,
-            }))),
+            })),
         }
     }
 
@@ -281,12 +304,10 @@ pub struct BatchTally {
 /// One authoritative serving instance.
 #[derive(Debug)]
 pub struct Rootd {
-    state: Arc<RwLock<Arc<ServingState>>>,
+    state: Arc<Epoch>,
     identity: SiteIdentity,
-    /// CHAOS TXT rdata precomputed at build time so identity queries do
-    /// not re-allocate the banner strings per query.
-    chaos_hostname: Option<Rdata>,
-    chaos_version: Rdata,
+    /// CHAOS TXT answers built from `identity`, borrowed per query.
+    chaos_answers: ChaosAnswers,
     /// Per-engine CHAOS identity shapes, present on engines built over a
     /// [`SharedState`] (whose answer cache is identity-free).
     chaos: Option<ChaosCache>,
@@ -304,21 +325,15 @@ impl Rootd {
     /// serve path parses and encodes every datagram. Chain
     /// [`Self::with_answer_cache`] for the precompiled fast path.
     pub fn new(index: Arc<ZoneIndex>, identity: SiteIdentity) -> Rootd {
-        let chaos_hostname = identity
-            .hostname
-            .as_ref()
-            .map(|h| Rdata::Txt(vec![h.clone().into_bytes()]));
-        let chaos_version = Rdata::Txt(vec![identity.version.clone().into_bytes()]);
         Rootd {
-            state: Arc::new(RwLock::new(Arc::new(ServingState {
+            state: Arc::new(Epoch::new(ServingState {
                 index,
                 cache: None,
                 generation: 0,
                 rrl: None,
-            }))),
+            })),
+            chaos_answers: ChaosAnswers::new(&identity),
             identity,
-            chaos_hostname,
-            chaos_version,
             chaos: None,
             cache_enabled: false,
             axfr_batch: dns_zone::axfr::DEFAULT_BATCH,
@@ -332,16 +347,10 @@ impl Rootd {
     /// [`SharedState::reload`] (or a [`Rootd::reload`] through any
     /// sharing engine) swaps the epoch for every sharer at once.
     pub fn with_shared_state(shared: &SharedState, identity: SiteIdentity) -> Rootd {
-        let chaos_hostname = identity
-            .hostname
-            .as_ref()
-            .map(|h| Rdata::Txt(vec![h.clone().into_bytes()]));
-        let chaos_version = Rdata::Txt(vec![identity.version.clone().into_bytes()]);
         let mut me = Rootd {
             state: Arc::clone(&shared.state),
+            chaos_answers: ChaosAnswers::new(&identity),
             identity,
-            chaos_hostname,
-            chaos_version,
             chaos: None,
             cache_enabled: true,
             axfr_batch: dns_zone::axfr::DEFAULT_BATCH,
@@ -444,8 +453,7 @@ impl Rootd {
                 Arc::new(AnswerCache::build(&Answerer {
                     index: &index,
                     hostname: self.identity.hostname.as_deref(),
-                    chaos_hostname: self.chaos_hostname.as_ref(),
-                    chaos_version: &self.chaos_version,
+                    chaos: &self.chaos_answers,
                 }))
             }
         });
@@ -598,21 +606,27 @@ impl Rootd {
                 }
             };
         }
-        vec![self.answerer(&state).respond(&query).to_wire()]
+        let edns = edns_of(&query);
+        vec![self
+            .answerer(&state)
+            .respond(&query, edns.as_ref())
+            .to_wire()]
     }
 
     /// Build the (single-message) response to a parsed, non-AXFR query.
     pub fn respond(&self, query: &Message) -> Message {
         let state = self.state.read();
-        self.answerer(&state).respond(query)
+        let edns = edns_of(query);
+        self.answerer(&state)
+            .respond(query, edns.as_ref())
+            .to_message()
     }
 
     fn answerer<'a>(&'a self, state: &'a ServingState) -> Answerer<'a> {
         Answerer {
             index: &state.index,
             hostname: self.identity.hostname.as_deref(),
-            chaos_hostname: self.chaos_hostname.as_ref(),
-            chaos_version: &self.chaos_version,
+            chaos: &self.chaos_answers,
         }
     }
 }
@@ -620,73 +634,63 @@ impl Rootd {
 /// The full (uncached) answer logic, borrowed from one serving state. The
 /// answer cache is built by running every reachable shape through this
 /// exact code, so cached and fallback responses are byte-identical by
-/// construction.
+/// construction. Responses borrow their records from the index and the
+/// engine's identity answers ([`Response`]); nothing is cloned per query.
 pub(crate) struct Answerer<'a> {
     pub(crate) index: &'a ZoneIndex,
+    /// NSID payload (RFC 5001), when the instance exposes one.
     pub(crate) hostname: Option<&'a str>,
-    pub(crate) chaos_hostname: Option<&'a Rdata>,
-    pub(crate) chaos_version: &'a Rdata,
+    pub(crate) chaos: &'a ChaosAnswers,
 }
 
-impl Answerer<'_> {
-    /// Build the (single-message) response to a parsed, non-AXFR query.
-    pub(crate) fn respond(&self, query: &Message) -> Message {
-        let mut resp = self.respond_inner(query);
-        self.attach_edns(query, &mut resp);
+impl<'a> Answerer<'a> {
+    /// Build the (single-message) response to a parsed, non-AXFR query
+    /// whose OPT record parsed to `edns`.
+    pub(crate) fn respond(&self, query: &'a Message, edns: Option<&Edns>) -> Response<'a> {
+        let mut resp = self.respond_inner(query, edns.is_some_and(|e| e.dnssec_ok));
+        self.attach_edns(edns, &mut resp);
         resp
     }
 
-    fn respond_inner(&self, query: &Message) -> Message {
+    fn respond_inner(&self, query: &'a Message, dnssec: bool) -> Response<'a> {
         if query.header.opcode != Opcode::Query {
-            return Message::response_to(query, Rcode::NotImp, Vec::new());
+            return Response::to(query, Rcode::NotImp);
         }
         let [q] = query.questions.as_slice() else {
             // Zero or multiple questions: nothing sane to answer.
-            return Message::response_to(query, Rcode::FormErr, Vec::new());
+            return Response::to(query, Rcode::FormErr);
         };
-        let q = q.clone();
         match q.class {
-            Class::Ch => self.answer_chaos(query, &q),
-            Class::In => self.answer_in(query, &q),
-            _ => Message::response_to(query, Rcode::Refused, Vec::new()),
+            Class::Ch => self.answer_chaos(query, q),
+            Class::In => self.answer_in(query, q, dnssec),
+            _ => Response::to(query, Rcode::Refused),
         }
     }
 
-    fn answer_chaos(&self, query: &Message, q: &Question) -> Message {
-        let rdata = if q.rr_type == RrType::Txt {
-            if chaos_name_is(&q.name, b"hostname", b"bind")
-                || chaos_name_is(&q.name, b"id", b"server")
-            {
-                self.chaos_hostname.cloned()
-            } else if chaos_name_is(&q.name, b"version", b"bind")
-                || chaos_name_is(&q.name, b"version", b"server")
-            {
-                Some(self.chaos_version.clone())
-            } else {
-                None
-            }
+    fn answer_chaos(&self, query: &'a Message, q: &Question) -> Response<'a> {
+        let answer = if q.rr_type == RrType::Txt {
+            self.chaos.answer(&q.name)
         } else {
             None
         };
-        match rdata {
-            Some(r) => Message::response_to(
-                query,
-                Rcode::NoError,
-                vec![Record::chaos(q.name.clone(), 0, r)],
-            ),
-            None => Message::response_to(query, Rcode::Refused, Vec::new()),
+        match answer {
+            Some(record) => {
+                let mut resp = Response::to(query, Rcode::NoError);
+                resp.answer(std::slice::from_ref(record));
+                resp
+            }
+            None => Response::to(query, Rcode::Refused),
         }
     }
 
-    fn answer_in(&self, query: &Message, q: &Question) -> Message {
-        let dnssec = edns_of(query).map(|e| e.dnssec_ok).unwrap_or(false);
+    fn answer_in(&self, query: &'a Message, q: &Question, dnssec: bool) -> Response<'a> {
         match self.index.lookup(&q.name, q.rr_type) {
             Lookup::Answer(entry) => {
-                let mut answers = entry.records.clone();
+                let mut resp = Response::to(query, Rcode::NoError);
+                resp.answer(&entry.records);
                 if dnssec {
-                    answers.extend(entry.rrsigs.iter().cloned());
+                    resp.answer(&entry.rrsigs);
                 }
-                let mut resp = Message::response_to(query, Rcode::NoError, answers);
                 if q.rr_type == RrType::Ns && q.name == *self.index.origin() {
                     // Priming response (RFC 8109): ship the root server
                     // addresses so resolvers can bootstrap.
@@ -696,7 +700,7 @@ impl Answerer<'_> {
                         };
                         for glue_type in [RrType::A, RrType::Aaaa] {
                             if let Some(glue) = self.index.rrset(target, glue_type) {
-                                resp.additionals.extend(glue.records.iter().cloned());
+                                resp.additional(&glue.records);
                             }
                         }
                     }
@@ -704,16 +708,16 @@ impl Answerer<'_> {
                 resp
             }
             Lookup::Referral(referral) => {
-                let mut resp = Message::response_to(query, Rcode::NoError, Vec::new());
+                let mut resp = Response::to(query, Rcode::NoError);
                 // Referrals are non-authoritative: the data lives below the
                 // zone cut.
                 resp.header.flags.authoritative = false;
-                resp.authorities.extend(referral.ns.iter().cloned());
+                resp.authority(&referral.ns);
                 if dnssec {
-                    resp.authorities.extend(referral.ds.iter().cloned());
-                    resp.authorities.extend(referral.ds_rrsigs.iter().cloned());
+                    resp.authority(&referral.ds);
+                    resp.authority(&referral.ds_rrsigs);
                 }
-                resp.additionals.extend(referral.glue.iter().cloned());
+                resp.additional(&referral.glue);
                 resp
             }
             Lookup::NoData => self.negative(query, q, Rcode::NoError, dnssec),
@@ -723,7 +727,13 @@ impl Answerer<'_> {
 
     /// NODATA / NXDOMAIN: SOA in the authority section, plus the covering
     /// NSEC proof when the client asked for DNSSEC.
-    fn negative(&self, query: &Message, q: &Question, rcode: Rcode, dnssec: bool) -> Message {
+    fn negative(
+        &self,
+        query: &'a Message,
+        q: &Question,
+        rcode: Rcode,
+        dnssec: bool,
+    ) -> Response<'a> {
         let nsec = if dnssec {
             self.index.covering_nsec(&q.name)
         } else {
@@ -736,24 +746,26 @@ impl Answerer<'_> {
     /// cache precompiles one NXDOMAIN template per chain link).
     pub(crate) fn negative_with(
         &self,
-        query: &Message,
+        query: &'a Message,
         rcode: Rcode,
         dnssec: bool,
-        nsec: Option<&crate::index::RrsetEntry>,
-    ) -> Message {
-        let mut resp = Message::response_to(query, rcode, Vec::new());
-        resp.authorities = self.index.negative_authority(dnssec);
+        nsec: Option<&'a crate::index::RrsetEntry>,
+    ) -> Response<'a> {
+        let mut resp = Response::to(query, rcode);
+        for records in self.index.negative_authority(dnssec) {
+            resp.authority(records);
+        }
         if let Some(nsec) = nsec {
-            resp.authorities.extend(nsec.records.iter().cloned());
-            resp.authorities.extend(nsec.rrsigs.iter().cloned());
+            resp.authority(&nsec.records);
+            resp.authority(&nsec.rrsigs);
         }
         resp
     }
 
     /// Mirror the client's EDNS: advertise our payload size, echo DO, and
     /// answer an NSID request with the instance identity (RFC 5001).
-    pub(crate) fn attach_edns(&self, query: &Message, resp: &mut Message) {
-        let Some(edns) = edns_of(query) else { return };
+    pub(crate) fn attach_edns(&self, edns: Option<&Edns>, resp: &mut Response<'_>) {
+        let Some(edns) = edns else { return };
         let mut reply = Edns {
             udp_payload_size: MAX_UDP_PAYLOAD as u16,
             dnssec_ok: edns.dnssec_ok,
@@ -764,18 +776,57 @@ impl Answerer<'_> {
                 reply = reply.with_nsid(hostname.as_bytes());
             }
         }
-        set_edns(resp, &reply);
+        resp.set_edns(&reply);
     }
 }
 
-/// Two-label CHAOS identity name match, case-insensitive, no allocation.
-fn chaos_name_is(name: &dns_wire::Name, first: &[u8], second: &[u8]) -> bool {
-    let mut labels = name.labels();
-    matches!(
-        (labels.next(), labels.next(), labels.next()),
-        (Some(a), Some(b), None)
-            if a.eq_ignore_ascii_case(first) && b.eq_ignore_ascii_case(second)
-    )
+/// The CHAOS TXT identity names (RFC 4892 conventions): the first two
+/// answer with the instance hostname, the last two with the version.
+pub(crate) const CHAOS_NAMES: [&str; 4] = [
+    "hostname.bind.",
+    "id.server.",
+    "version.bind.",
+    "version.server.",
+];
+
+/// An engine's CHAOS identity answers, built once so identity queries
+/// borrow them like zone data. In a response the answer's owner name is
+/// always written as a pointer to the question name, so the client's
+/// casing is what goes on the wire.
+#[derive(Debug)]
+pub(crate) struct ChaosAnswers {
+    records: Vec<Record>,
+}
+
+impl ChaosAnswers {
+    pub(crate) fn new(identity: &SiteIdentity) -> ChaosAnswers {
+        let hostname = identity.hostname.as_deref();
+        let texts = [
+            hostname,
+            hostname,
+            Some(identity.version.as_str()),
+            Some(identity.version.as_str()),
+        ];
+        let records = CHAOS_NAMES
+            .iter()
+            .zip(texts)
+            .filter_map(|(name, text)| {
+                let text = text?;
+                let name = dns_wire::Name::parse(name).expect("static chaos name");
+                Some(Record::chaos(
+                    name,
+                    0,
+                    Rdata::Txt(vec![text.as_bytes().to_vec()]),
+                ))
+            })
+            .collect();
+        ChaosAnswers { records }
+    }
+
+    /// The TXT answer for a CHAOS identity name, if the instance has one.
+    fn answer(&self, qname: &dns_wire::Name) -> Option<&Record> {
+        self.records.iter().find(|r| r.name == *qname)
+    }
 }
 
 /// The uncached UDP path: full parse, respond, budget-limited encode into
@@ -790,23 +841,25 @@ fn serve_udp_fallback(answerer: &Answerer<'_>, request: &[u8], out: &mut Vec<u8>
     if query.header.flags.response {
         return false;
     }
-    let limit = udp_limit(&query);
+    let edns = edns_of(&query);
     if is_axfr(&query) {
         // Zone transfers need a stream; over UDP the only honest answer
         // is an empty truncated response forcing the TCP retry.
-        let mut resp = Message::response_to(&query, Rcode::NoError, Vec::new());
+        let mut resp = Response::to(&query, Rcode::NoError);
         resp.header.flags.truncated = true;
-        answerer.attach_edns(&query, &mut resp);
+        answerer.attach_edns(edns.as_ref(), &mut resp);
         resp.encode_into(out);
         return true;
     }
-    let resp = answerer.respond(&query);
-    encode_limited_into(&resp, limit, out);
+    let limit = udp_limit(edns.as_ref());
+    answerer
+        .respond(&query, edns.as_ref())
+        .encode_limited_into(limit, out);
     true
 }
 
 /// Whether the (first) question asks for a zone transfer.
-fn is_axfr(query: &Message) -> bool {
+pub(crate) fn is_axfr(query: &Message) -> bool {
     query
         .questions
         .first()
@@ -815,15 +868,14 @@ fn is_axfr(query: &Message) -> bool {
 
 /// The response budget a query's EDNS advertises (512 without EDNS,
 /// clamped to `[512, 4096]` with it).
-fn udp_limit(query: &Message) -> usize {
-    edns_of(query)
-        .map(|e| (e.udp_payload_size as usize).clamp(MIN_UDP_PAYLOAD, MAX_UDP_PAYLOAD))
+pub(crate) fn udp_limit(edns: Option<&Edns>) -> usize {
+    edns.map(|e| (e.udp_payload_size as usize).clamp(MIN_UDP_PAYLOAD, MAX_UDP_PAYLOAD))
         .unwrap_or(MIN_UDP_PAYLOAD)
 }
 
 /// A header-only FORMERR echoing the request id, written into `out` when a
 /// header exists to echo at all.
-fn formerr_stub(request: &[u8], out: &mut Vec<u8>) -> bool {
+pub(crate) fn formerr_stub(request: &[u8], out: &mut Vec<u8>) -> bool {
     if request.len() < 12 {
         return false;
     }
@@ -833,45 +885,10 @@ fn formerr_stub(request: &[u8], out: &mut Vec<u8>) -> bool {
     true
 }
 
-/// Encode `msg` within `limit` bytes into `out`: while it does not fit,
-/// drop whole records — opportunistic additionals first, then authority,
-/// then answer — and set TC. The OPT pseudo-record survives truncation (it
-/// carries the EDNS negotiation itself). Dropping never splits a record,
-/// so the result always reparses with consistent section counts.
-pub(crate) fn encode_limited_into(msg: &Message, limit: usize, out: &mut Vec<u8>) {
-    msg.encode_into(out);
-    if out.len() <= limit {
-        return;
-    }
-    let mut an = msg.answers.len();
-    let mut ns = msg.authorities.len();
-    let mut ar = msg
-        .additionals
-        .iter()
-        .filter(|r| r.rr_type != RrType::Opt)
-        .count();
-    loop {
-        if ar > 0 {
-            ar -= 1;
-        } else if ns > 0 {
-            ns -= 1;
-        } else if an > 0 {
-            an -= 1;
-        } else {
-            // Header + question + OPT alone always fit 512 bytes for names
-            // the root serves; return as-is rather than loop forever.
-            return;
-        }
-        msg.encode_truncated_into(an, ns, ar, out);
-        if out.len() <= limit {
-            return;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dns_wire::edns::set_edns;
     use dns_wire::Name;
     use dns_zone::rollout::RolloutPhase;
     use dns_zone::rootzone::{build_root_zone, RootZoneConfig};
@@ -1323,6 +1340,56 @@ mod tests {
         }
         let again = e.serve_udp_batch(&mut batch);
         assert_eq!(again, tally);
+    }
+
+    #[test]
+    fn cd_bit_is_echoed_on_every_serve_path() {
+        // RFC 4035 §3.1.6: a name server MUST copy CD from the query into
+        // the response — from the stored answers and NXDOMAIN templates as
+        // much as from the uncached answerer.
+        let plain = engine();
+        let cached = engine().with_answer_cache();
+        let shared = Rootd::with_shared_state(
+            &SharedState::build(plain.index()),
+            SiteIdentity::named("lax2f"),
+        );
+        let mut queries = shape_matrix();
+        // An NXDOMAIN served from a template, and a referral below a cut.
+        for (name, dnssec) in [("zz9999nosuch.", true), ("www.com.", false)] {
+            let mut q = Message::query(81, Question::new(Name::parse(name).unwrap(), RrType::A));
+            if dnssec {
+                set_edns(&mut q, &Edns::dnssec());
+            }
+            queries.push(q.to_wire());
+        }
+        let mut batch = crate::transport::UdpBatch::new();
+        let mut outcomes = Vec::new();
+        for wire in &mut queries {
+            wire[3] |= 0x10;
+            let want = plain.serve_udp(wire).expect("answered");
+            assert_eq!(want[3] & 0x10, 0x10, "CD dropped on {wire:?}");
+            assert!(
+                Message::from_wire(&want)
+                    .unwrap()
+                    .header
+                    .flags
+                    .checking_disabled
+            );
+            let mut out = Vec::new();
+            outcomes.push(cached.serve_udp_into(wire, &mut out));
+            assert_eq!(out, want, "cached path diverged on {wire:?}");
+            batch.push_request(wire);
+        }
+        assert!(outcomes.contains(&ServeOutcome::CacheHit));
+        assert!(outcomes.contains(&ServeOutcome::Fallback));
+        shared.serve_udp_batch(&mut batch);
+        for (i, wire) in queries.iter().enumerate() {
+            assert_eq!(batch.response(i), plain.serve_udp(wire).as_deref());
+        }
+        // A CD-clear query still gets CD clear, from the same stored bytes.
+        let mut clear = queries[0].clone();
+        clear[3] &= !0x10;
+        assert_eq!(cached.serve_udp(&clear).unwrap()[3] & 0x10, 0);
     }
 
     #[test]

@@ -193,13 +193,15 @@ impl ZoneIndex {
         &self.nsec_chain
     }
 
-    /// SOA (+ RRSIG when `dnssec`) for negative-response authority.
-    pub fn negative_authority(&self, dnssec: bool) -> Vec<Record> {
-        let mut out = self.negative_soa.clone();
-        if dnssec {
-            out.extend(self.negative_soa_rrsig.iter().cloned());
-        }
-        out
+    /// SOA (+ RRSIG when `dnssec`) for negative-response authority, as
+    /// the SOA slice and the (possibly empty) signature slice.
+    pub fn negative_authority(&self, dnssec: bool) -> [&[Record]; 2] {
+        let rrsig: &[Record] = if dnssec {
+            &self.negative_soa_rrsig
+        } else {
+            &[]
+        };
+        [&self.negative_soa, rrsig]
     }
 
     /// The NSEC entry covering `name` (the chain link whose owner
@@ -339,11 +341,12 @@ mod tests {
     #[test]
     fn negative_authority_carries_soa_and_optionally_rrsig() {
         let idx = index();
-        let plain = idx.negative_authority(false);
-        assert_eq!(plain.len(), 1);
-        assert_eq!(plain[0].rr_type, RrType::Soa);
-        let signed = idx.negative_authority(true);
-        assert!(signed.iter().any(|r| r.rr_type == RrType::Rrsig));
+        let [soa, rrsig] = idx.negative_authority(false);
+        assert_eq!(soa.len(), 1);
+        assert_eq!(soa[0].rr_type, RrType::Soa);
+        assert!(rrsig.is_empty());
+        let [_, rrsig] = idx.negative_authority(true);
+        assert!(rrsig.iter().any(|r| r.rr_type == RrType::Rrsig));
     }
 
     #[test]

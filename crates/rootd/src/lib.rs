@@ -51,7 +51,10 @@ pub mod faults;
 pub mod health;
 pub mod index;
 pub mod loadgen;
+#[cfg(test)]
+mod oracle;
 pub mod recovery;
+mod response;
 pub mod rrl;
 pub mod transport;
 

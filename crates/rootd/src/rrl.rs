@@ -365,12 +365,12 @@ pub(crate) fn write_slip(request: &[u8], out: &mut Vec<u8>) -> bool {
         return false;
     }
     out.clear();
-    // QR | AA | TC, RD echoed; rcode NOERROR; QDCOUNT=1, rest zero.
+    // QR | AA | TC, RD and CD echoed; rcode NOERROR; QDCOUNT=1, rest zero.
     out.extend_from_slice(&[
         request[0],
         request[1],
         0x86 | (request[2] & 0x01),
-        0x00,
+        request[3] & 0x10,
         0,
         1,
         0,
@@ -513,6 +513,12 @@ mod tests {
         assert_eq!(out[3], 0x00);
         assert_eq!(&out[4..12], &[0, 1, 0, 0, 0, 0, 0, 0]);
         assert_eq!(&out[12..], &req[12..20]);
+        // CD is copied (RFC 4035 §3.1.6); the query's other byte-3 bits
+        // (RA, Z, AD, rcode) are not.
+        let mut cd = req;
+        cd[3] = 0xff;
+        assert!(write_slip(&cd, &mut out));
+        assert_eq!(out[3], 0x10);
         // Truncated garbage cannot be slipped.
         assert!(!write_slip(&req[..14], &mut out));
         assert!(!write_slip(&[0u8; 3], &mut out));

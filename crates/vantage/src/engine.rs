@@ -25,12 +25,11 @@ use netsim::anycast::{SiteId, SiteScope};
 use netsim::churn::SelectionState;
 use netsim::routing::{propagate, CandidateRoute};
 use netsim::{ChurnModel, Family, RouteTable, RttModel, SimRng, Topology, TopologyConfig};
-use parking_lot::Mutex;
 use rss::catalog::{RootCatalog, WorldConfig};
 use rss::RootLetter;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Everything a measurement needs: topology, catalog, routing, VPs, zones.
 pub struct World {
@@ -165,7 +164,7 @@ impl World {
     /// the roll-out timeline.
     pub fn zone_at(&self, time: u32) -> Arc<Zone> {
         let day = time - time % 86400;
-        if let Some(z) = self.zone_cache.lock().get(&day) {
+        if let Some(z) = self.zones().get(&day) {
             return z.clone();
         }
         let serial = serial_of_day(day);
@@ -181,8 +180,16 @@ impl World {
             },
             &self.keys,
         ));
-        self.zone_cache.lock().insert(day, zone.clone());
+        self.zones().insert(day, zone.clone());
         zone
+    }
+
+    /// The day-keyed zone cache. A panic while it was held cannot leave
+    /// it half-written (every use is one map call), so poisoning is ignored.
+    fn zones(&self) -> MutexGuard<'_, HashMap<u32, Arc<Zone>>> {
+        self.zone_cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The base seed of this world.
@@ -279,7 +286,10 @@ impl World {
     /// lazily under the new phase.
     pub fn set_zonemd_override(&mut self, phase: Option<RolloutPhase>) {
         self.zonemd_override = phase;
-        self.zone_cache.lock().clear();
+        self.zone_cache
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
     }
 
     /// The active ZONEMD phase override, if any.
